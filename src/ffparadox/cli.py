@@ -61,19 +61,22 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """One experiment cell; the measured fields are None when the cell's
+    graph could not be generated."""
+
     model: Model
     seed: int
     n: int
     k_max: float
     alpha_hat: float | None
-    empirical_mean: float | None
-    empirical_variance: float | None
-    empirical_ratio: float | None
     predicted_ratio: float
     predicted_lo: float | None
     predicted_hi: float | None
-    components: int | None
-    giant_fraction: float | None
+    empirical_mean: float | None = None
+    empirical_variance: float | None = None
+    empirical_ratio: float | None = None
+    components: int | None = None
+    giant_fraction: float | None = None
     error: str | None = None
 
 
@@ -81,6 +84,30 @@ def _sub_seed(seed: int, k_max: float, tag: int) -> int:
     scaled = int(round(min(k_max, 2**40) * 1e6))
     ss = np.random.SeedSequence([seed, scaled, tag])
     return int(ss.generate_state(1)[0])
+
+
+def _target_sequence(spec: PowerLawSpec, n: int, seed: int):
+    """The continuous degree sample of (seed, k_max) and the graphical
+    integer sequence rounded from it.
+
+    ``experiment`` and ``generate`` both derive their graphs through this
+    and ``_realize``, so a generated network is the one measured in the
+    matching experiment cell.
+    """
+    sample = powerlaw.sample_continuous(
+        spec, n, _sub_seed(seed, spec.k_max, _TAG_SAMPLE)
+    )
+    seq = netgen.make_graphical(
+        powerlaw.round_degrees(spec, sample),
+        seed=_sub_seed(seed, spec.k_max, _TAG_PARITY),
+    )
+    return sample, seq
+
+
+def _realize(seq, seed: int, k_max: float, model: Model, block_size: int):
+    return netgen.generate(
+        seq, model, _sub_seed(seed, k_max, _MODEL_TAGS[model]), block_size=block_size
+    )
 
 
 def _parse_values(text: str, name: str) -> list[float]:
@@ -116,11 +143,7 @@ def _parse_kmax(text: str) -> float:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return str(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _jsonable(value):
@@ -183,17 +206,17 @@ def run_experiment(
         raise UsageError("at least one model is required")
     if not seeds:
         raise UsageError("at least one seed is required")
+    if block_size < 1:
+        raise UsageError("block size must be at least 1")
 
     rows: list[ExperimentRow] = []
     for k_max in kmaxs:
         spec = PowerLawSpec(alpha, k_min, k_max)
         predicted = powerlaw.predict(spec).var_to_mean
         alpha_hats: dict[int, float | None] = {}
-        cell_stats: dict[tuple, dict] = {}
+        measured: dict[tuple, dict] = {}
         for seed in seeds:
-            sample = powerlaw.sample_continuous(
-                spec, n, _sub_seed(seed, k_max, _TAG_SAMPLE)
-            )
+            sample, seq = _target_sequence(spec, n, seed)
             fit_error = None
             try:
                 alpha_hats[seed] = fit.fit_alpha(
@@ -202,27 +225,21 @@ def run_experiment(
             except DomainError as exc:
                 alpha_hats[seed] = None
                 fit_error = exc.code
-            degrees = np.floor(sample + 0.5).astype(np.int64)
-            seq = netgen.make_graphical(
-                degrees, seed=_sub_seed(seed, k_max, _TAG_PARITY)
-            )
             for model in models:
-                key = (model, seed)
                 try:
-                    g = netgen.generate(
-                        seq, model, _sub_seed(seed, k_max, _MODEL_TAGS[model]),
-                        block_size=block_size,
-                    )
+                    g = _realize(seq, seed, k_max, model, block_size)
                     stats = metrics.stats_from_degrees(g.degrees())
                     comps = metrics.components(g)
-                    cell_stats[key] = {
-                        "stats": stats,
-                        "components": len(comps),
-                        "giant": comps[0] / g.n,
-                        "error": fit_error,
-                    }
+                    measured[(model, seed)] = dict(
+                        empirical_mean=stats.mean_k,
+                        empirical_variance=stats.variance,
+                        empirical_ratio=stats.gap,
+                        components=len(comps),
+                        giant_fraction=comps[0] / g.n,
+                        error=fit_error,
+                    )
                 except DomainError as exc:
-                    cell_stats[key] = {"error": exc.code}
+                    measured[(model, seed)] = dict(error=exc.code)
 
         fitted = [a for a in alpha_hats.values() if a is not None]
         if fitted:
@@ -236,46 +253,19 @@ def run_experiment(
 
         for model in models:
             for seed in seeds:
-                cell = cell_stats[(model, seed)]
-                if "stats" in cell:
-                    stats = cell["stats"]
-                    rows.append(
-                        ExperimentRow(
-                            model=model,
-                            seed=seed,
-                            n=n,
-                            k_max=k_max,
-                            alpha_hat=alpha_hats[seed],
-                            empirical_mean=stats.mean_k,
-                            empirical_variance=stats.variance,
-                            empirical_ratio=stats.gap,
-                            predicted_ratio=predicted,
-                            predicted_lo=lo,
-                            predicted_hi=hi,
-                            components=cell["components"],
-                            giant_fraction=cell["giant"],
-                            error=cell["error"],
-                        )
+                rows.append(
+                    ExperimentRow(
+                        model=model,
+                        seed=seed,
+                        n=n,
+                        k_max=k_max,
+                        alpha_hat=alpha_hats[seed],
+                        predicted_ratio=predicted,
+                        predicted_lo=lo,
+                        predicted_hi=hi,
+                        **measured[(model, seed)],
                     )
-                else:
-                    rows.append(
-                        ExperimentRow(
-                            model=model,
-                            seed=seed,
-                            n=n,
-                            k_max=k_max,
-                            alpha_hat=alpha_hats[seed],
-                            empirical_mean=None,
-                            empirical_variance=None,
-                            empirical_ratio=None,
-                            predicted_ratio=predicted,
-                            predicted_lo=lo,
-                            predicted_hi=hi,
-                            components=None,
-                            giant_fraction=None,
-                            error=cell["error"],
-                        )
-                    )
+                )
     return rows
 
 
@@ -380,17 +370,11 @@ def _cmd_generate(args) -> int:
     spec = PowerLawSpec(args.alpha, args.kmin, _parse_kmax(args.kmax))
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    if args.block_size < 1:
+        raise UsageError("--block-size must be at least 1")
     model = Model(args.model)
-    sample = powerlaw.sample_degrees(
-        spec, args.n, _sub_seed(args.seed, spec.k_max, _TAG_SAMPLE)
-    )
-    seq = netgen.make_graphical(
-        sample, seed=_sub_seed(args.seed, spec.k_max, _TAG_PARITY)
-    )
-    g = netgen.generate(
-        seq, model, _sub_seed(args.seed, spec.k_max, _MODEL_TAGS[model]),
-        block_size=args.block_size,
-    )
+    _, seq = _target_sequence(spec, args.n, args.seed)
+    g = _realize(seq, args.seed, spec.k_max, model, args.block_size)
     if args.out:
         netgen.write_edge_list(g, args.out)
         report = netgen.drop_report(g, seq)
@@ -399,8 +383,7 @@ def _cmd_generate(args) -> int:
             f"({report.total} stubs dropped)\n"
         )
     else:
-        for u, v in g.edges:
-            sys.stdout.write(f"{u} {v}\n")
+        sys.stdout.write(netgen.format_edge_list(g))
     return 0
 
 

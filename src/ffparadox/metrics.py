@@ -2,8 +2,11 @@
 
 The paradox statistics need only a degree sequence (or histogram); the
 structural metrics (components, global efficiency, betweenness-based central
-point dominance) operate on the adjacency structure.
+point dominance) operate on the graph's CSR adjacency matrix,
+``Graph.adjacency``, through ``scipy.sparse`` and ``scipy.sparse.csgraph``.
 
+Efficiency and betweenness traverse only the vertices that have edges, so
+isolated vertex ids cost nothing; both still normalize over all n vertices.
 Betweenness is exact over all sources, computed by level-synchronous
 accumulation over source batches with sparse matrix products, which keeps
 10^4-vertex graphs tractable without sampling.
@@ -14,11 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import AllIsolatedError
 from .netgen import Graph
+
+# Sources per block of the all-sources traversals: memory is n x batch.
+_EFFICIENCY_BATCH = 1024
+_BETWEENNESS_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -72,15 +78,11 @@ def ff_total_adjacency(g: Graph) -> int:
     """Total number of friends of friends via the literal adjacency double
     sum: for every vertex i, add the degree of each of its neighbors.
 
-    Equals sum(degree^2); kept as an explicit double loop so it can serve as
-    an independent check of that identity.
+    Equals sum(degree^2); kept as an explicit sum over every CSR neighbour
+    entry so it can serve as an independent check of that identity.
     """
-    deg = [len(a) for a in g.adjacency]
-    total = 0
-    for neighbors in g.adjacency:
-        for j in neighbors:
-            total += deg[j]
-    return total
+    deg = g.degrees()
+    return int(deg[g.adjacency.indices].sum())
 
 
 def kff_from_histogram(hist) -> float:
@@ -100,87 +102,52 @@ def kff_from_histogram(hist) -> float:
     return s2 / s1
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def components(g: Graph) -> list[int]:
     """Connected-component sizes, largest first; they sum to n."""
-    uf = _UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
-    sizes = {}
-    for v in range(g.n):
-        root = uf.find(v)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.values(), reverse=True)
+    _, labels = csgraph.connected_components(g.adjacency, directed=False)
+    return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
-def _adjacency_csr(g: Graph) -> sparse.csr_matrix:
-    m = len(g.edges)
-    if m == 0:
-        return sparse.csr_matrix((g.n, g.n))
-    e = np.asarray(g.edges, dtype=np.int64)
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    data = np.ones(2 * m)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+def _active_adjacency(g: Graph):
+    """Adjacency restricted to the vertices with degree > 0.  Isolated
+    vertices lie on no path, so dropping them changes no distance or
+    betweenness among the rest."""
+    active = np.flatnonzero(g.degrees())
+    return active, g.adjacency[active][:, active]
 
 
-def global_efficiency(g: Graph, batch: int = 1024) -> float:
+def global_efficiency(g: Graph) -> float:
     """Mean of 1/d(i, j) over ordered vertex pairs; disconnected pairs add 0."""
     n = g.n
     if n < 2:
         raise ValueError("global efficiency needs at least 2 vertices")
-    if not g.edges:
-        return 0.0
-    adj = _adjacency_csr(g)
+    _, adj = _active_adjacency(g)
+    k = adj.shape[0]
     total = 0.0
-    for start in range(0, n, batch):
-        idx = np.arange(start, min(start + batch, n))
+    for start in range(0, k, _EFFICIENCY_BATCH):
+        idx = np.arange(start, min(start + _EFFICIENCY_BATCH, k))
         dist = csgraph.dijkstra(adj, directed=True, unweighted=True, indices=idx)
         finite = np.isfinite(dist) & (dist > 0)
         total += float((1.0 / dist[finite]).sum())
     return total / (n * (n - 1))
 
 
-def betweenness(g: Graph, batch: int = 256) -> np.ndarray:
+def betweenness(g: Graph) -> np.ndarray:
     """Exact betweenness centrality (unordered-pair counting) of every vertex.
 
     Runs breadth-first search and dependency accumulation for all sources in
     batches: shortest-path counts spread level by level through sparse
     products, then dependencies flow back down the level structure.
     """
-    n = g.n
-    bc = np.zeros(n)
-    if not g.edges:
-        return bc
-    adj = _adjacency_csr(g)
-    for start in range(0, n, batch):
-        sources = np.arange(start, min(start + batch, n))
+    active, adj = _active_adjacency(g)
+    k = adj.shape[0]
+    bc = np.zeros(k)
+    for start in range(0, k, _BETWEENNESS_BATCH):
+        sources = np.arange(start, min(start + _BETWEENNESS_BATCH, k))
         b = sources.size
         cols = np.arange(b)
-        dist = np.full((n, b), -1, dtype=np.int32)
-        sigma = np.zeros((n, b))
+        dist = np.full((k, b), -1, dtype=np.int32)
+        sigma = np.zeros((k, b))
         dist[sources, cols] = 0
         sigma[sources, cols] = 1.0
 
@@ -195,18 +162,20 @@ def betweenness(g: Graph, batch: int = 256) -> np.ndarray:
             sigma[newly] = paths[newly]
             level += 1
 
-        delta = np.zeros((n, b))
+        delta = np.zeros((k, b))
         for lev in range(level - 1, 0, -1):
             on = dist == lev
-            coef = np.zeros((n, b))
+            coef = np.zeros((k, b))
             coef[on] = (1.0 + delta[on]) / sigma[on]
             spread = adj.dot(coef)
             prev = dist == lev - 1
             delta[prev] += sigma[prev] * spread[prev]
         delta[sources, cols] = 0.0
         bc += delta.sum(axis=1)
+    full = np.zeros(g.n)
     # Each unordered pair was counted from both endpoints.
-    return bc / 2.0
+    full[active] = bc / 2.0
+    return full
 
 
 def central_point_dominance(g: Graph) -> float:

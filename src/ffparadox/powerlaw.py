@@ -234,14 +234,21 @@ def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
     return (lo - u * (lo - hi)) ** (1.0 / e)
 
 
-def sample_degrees(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
-    """Integer degree sequence: continuous draws rounded half-up to integers.
+def round_degrees(spec: PowerLawSpec, values) -> np.ndarray:
+    """Continuous degree draws from ``spec`` rounded half-up to integers.
 
     Requires finite k_max so the rounded values form a bounded sequence.
-    Deterministic for a fixed seed; every value lies within
-    [round(k_min), round(k_max)].
     """
     if spec.is_infinite:
         raise DivergentError("degree sampling requires finite k_max")
-    values = sample_continuous(spec, n, seed)
-    return np.floor(values + 0.5).astype(np.int64)
+    return np.floor(np.asarray(values) + 0.5).astype(np.int64)
+
+
+def sample_degrees(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
+    """Integer degree sequence: continuous draws rounded half-up to integers
+    (``round_degrees``).
+
+    Deterministic for a fixed seed; every value lies within
+    [round(k_min), round(k_max)].
+    """
+    return round_degrees(spec, sample_continuous(spec, n, seed))

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ffparadox.cli import main
+from ffparadox.metrics import stats_from_degrees
 
 
 def run(capsys, *argv):
@@ -148,6 +150,14 @@ class TestExperimentCommand:
                          "--seeds", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("block_size", ["0", "-3"])
+    def test_non_positive_block_size_is_usage_error(self, capsys, block_size):
+        code, out, err = run(capsys, "experiment", "--n", "300", "--kmaxs", "10",
+                             "--seeds", "0", "--block-size", block_size)
+        assert code == 1
+        assert out == ""
+        assert "block size" in err
+
     def test_small_n_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "experiment", "--n", "99", "--kmaxs", "10",
                          "--seeds", "0")
@@ -193,6 +203,37 @@ class TestGenerateCommand:
                            "--n", "200", "--model", "B", "--seed", "1")
         assert code == 0
         assert all(len(line.split()) == 2 for line in out.strip().split("\n"))
+
+    @pytest.mark.parametrize("block_size", ["0", "-3"])
+    def test_non_positive_block_size_is_usage_error(self, capsys, tmp_path,
+                                                    block_size):
+        out = tmp_path / "g.txt"
+        code, _, err = run(capsys, "generate", "--kmax", "100", "--n", "1000",
+                           "--model", "B", "--seed", "1", "--block-size",
+                           block_size, "--out", str(out))
+        assert code == 1
+        assert "--block-size" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["A", "B", "KALISKY"])
+    def test_matches_experiment_cell(self, capsys, tmp_path, model):
+        # README contract: generate realizes the graph of the experiment
+        # cell with the same seed, k_max, model and n
+        n, seed, kmax = 500, 3, "32"
+        path = tmp_path / "g.txt"
+        code, _, _ = run(capsys, "generate", "--kmax", kmax, "--n", str(n),
+                         "--model", model, "--seed", str(seed),
+                         "--out", str(path))
+        assert code == 0
+        ids = np.array(path.read_text().split(), dtype=np.int64)
+        stats = stats_from_degrees(np.bincount(ids, minlength=n))
+        _, out, _ = run(capsys, "experiment", "--kmaxs", kmax, "--n", str(n),
+                        "--models", model, "--seeds", str(seed))
+        header, cell = out.split("\n")[:2]
+        row = dict(zip(header.split(","), cell.split(",")))
+        assert row["kind"] == "cell" and row["error"] == ""
+        assert float(row["empirical_mean"]) == stats.mean_k
+        assert float(row["empirical_variance"]) == stats.variance
 
     def test_infinite_kmax_is_domain_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kmax", "inf", "--n", "200",

@@ -28,6 +28,12 @@ def graph_from(n, edges):
     return Graph.from_edges(n, edges)
 
 
+def neighbors(g, v):
+    """Row v of the CSR adjacency: the neighbours of v, ascending."""
+    a = g.adjacency
+    return a.indices[a.indptr[v]:a.indptr[v + 1]].tolist()
+
+
 def random_simple_graph(n, p, rng):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -40,7 +46,7 @@ def bfs_distances(g, source):
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for w in g.adjacency[v]:
+        for w in neighbors(g, v):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -63,7 +69,7 @@ def brute_betweenness(g):
         dist = bfs_distances(g, s)
         preds = {v: [] for v in dist}
         for v in dist:
-            for w in g.adjacency[v]:
+            for w in neighbors(g, v):
                 if w in dist and dist[w] == dist[v] + 1:
                     preds[w].append(v)
 
@@ -200,6 +206,14 @@ class TestGlobalEfficiency:
             n = int(rng.integers(3, 40))
             g = random_simple_graph(n, float(rng.uniform(0.05, 0.5)), rng)
             assert global_efficiency(g) == pytest.approx(brute_efficiency(g), rel=1e-10)
+
+    def test_isolated_ids_add_nothing(self):
+        # one edge among 20 001 ids: two ordered pairs at distance 1
+        n = 20001
+        g = graph_from(n, [(0, n - 1)])
+        assert global_efficiency(g) == 2 / (n * (n - 1))
+        assert central_point_dominance(g) == 0.0
+        assert not betweenness(g).any()
 
     def test_bridge_increases_efficiency(self):
         g = graph_from(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
