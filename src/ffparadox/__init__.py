@@ -17,6 +17,7 @@ from .errors import (
     NoMaximumError,
     OutOfRangeError,
     TooFewPointsError,
+    TooManyPairsError,
 )
 from .fit import FitResult, Moment, alpha_from_moment, fit_alpha
 from .metrics import (
@@ -74,6 +75,7 @@ __all__ = [
     "PowerLawSpec",
     "PredictionResult",
     "TooFewPointsError",
+    "TooManyPairsError",
     "alpha_from_moment",
     "betweenness",
     "cdf",

@@ -57,3 +57,9 @@ class NonMonotoneError(DomainError):
     """Raised when the bracket-endpoint monotonicity check fails."""
 
     code = "NON_MONOTONE"
+
+
+class TooManyPairsError(DomainError):
+    """Raised when an all-pairs traversal would exceed its work limit."""
+
+    code = "TOO_MANY_PAIRS"

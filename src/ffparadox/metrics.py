@@ -5,11 +5,14 @@ structural metrics (components, global efficiency, betweenness-based central
 point dominance) operate on the graph's CSR adjacency matrix,
 ``Graph.adjacency``, through ``scipy.sparse`` and ``scipy.sparse.csgraph``.
 
-Efficiency and betweenness traverse only the vertices that have edges, so
-isolated vertex ids cost nothing; both still normalize over all n vertices.
-Betweenness is exact over all sources, computed by level-synchronous
-accumulation over source batches with sparse matrix products, which keeps
-10^4-vertex graphs tractable without sampling.
+Efficiency and betweenness share one exact all-sources traversal engine:
+a level-synchronous breadth-first search run separately on each connected
+component, from batches of sources at once, with sparse matrix products.
+Work grows with the sum of c(c - 1) over component sizes c, not with
+n(n - 1), so isolated vertices and many small components cost almost
+nothing; both metrics still normalize over all n vertices.  Past a fixed
+limit on that sum, ``TooManyPairsError`` is raised before any traversal.
+Betweenness accumulates Brandes' dependencies back down the same levels.
 """
 
 from __future__ import annotations
@@ -19,12 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
-from .errors import AllIsolatedError
+from .errors import AllIsolatedError, TooManyPairsError
 from .netgen import Graph
 
-# Sources per block of the all-sources traversals: memory is n x batch.
-_EFFICIENCY_BATCH = 1024
-_BETWEENNESS_BATCH = 256
+# Sources per batch of the all-sources traversal: each block is
+# component size x batch.
+_BATCH = 256
+# Limit on connected ordered vertex pairs, sum of c(c - 1) over component
+# sizes c, which traversal time grows with: ten times the criterion-9 graphs'
+# ~10^8 (n = 10^4) and far above the benchmark's ~1.4 x 10^6 (n = 1200).  A
+# single component at the limit (31 623 vertices) has 65 MB float64 blocks.
+_MAX_PAIRS = 10**9
 
 
 @dataclass(frozen=True)
@@ -108,12 +116,43 @@ def components(g: Graph) -> list[int]:
     return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
-def _active_adjacency(g: Graph):
-    """Adjacency restricted to the vertices with degree > 0.  Isolated
-    vertices lie on no path, so dropping them changes no distance or
-    betweenness among the rest."""
-    active = np.flatnonzero(g.degrees())
-    return active, g.adjacency[active][:, active]
+def _traversals(g: Graph):
+    """Breadth-first search from every vertex, one component at a time.
+
+    For each batch of sources in each component of two or more vertices,
+    yields the component's vertex ids, its adjacency in local ids, and the
+    (size, batch) blocks of hop distances (-1 if unreached) and path counts.
+    """
+    _, labels = csgraph.connected_components(g.adjacency, directed=False)
+    sizes = np.bincount(labels)
+    pairs = int((sizes * (sizes - 1)).sum())
+    if pairs > _MAX_PAIRS:
+        raise TooManyPairsError(
+            f"{pairs} connected ordered vertex pairs exceed the limit of {_MAX_PAIRS}"
+        )
+    # Permuted once by label, each component is a contiguous diagonal block.
+    order = np.argsort(labels, kind="stable")
+    permuted = g.adjacency[order][:, order]
+    ends = np.cumsum(sizes)
+    for label in np.flatnonzero(sizes > 1):
+        lo, hi = ends[label] - sizes[label], ends[label]
+        members, adj, size = order[lo:hi], permuted[lo:hi, lo:hi], hi - lo
+        for start in range(0, size, _BATCH):
+            sources = np.arange(start, min(start + _BATCH, size))
+            cols = np.arange(sources.size)
+            dist = np.full((size, sources.size), -1, dtype=np.int32)
+            sigma = np.zeros((size, sources.size))
+            dist[sources, cols] = 0
+            sigma[sources, cols] = 1.0
+
+            level = 0
+            while (frontier := dist == level).any():
+                paths = adj.dot(np.where(frontier, sigma, 0.0))
+                newly = (paths > 0.0) & (dist < 0)
+                dist[newly] = level + 1
+                sigma[newly] = paths[newly]
+                level += 1
+            yield members, adj, dist, sigma
 
 
 def global_efficiency(g: Graph) -> float:
@@ -121,61 +160,29 @@ def global_efficiency(g: Graph) -> float:
     n = g.n
     if n < 2:
         raise ValueError("global efficiency needs at least 2 vertices")
-    _, adj = _active_adjacency(g)
-    k = adj.shape[0]
     total = 0.0
-    for start in range(0, k, _EFFICIENCY_BATCH):
-        idx = np.arange(start, min(start + _EFFICIENCY_BATCH, k))
-        dist = csgraph.dijkstra(adj, directed=True, unweighted=True, indices=idx)
-        finite = np.isfinite(dist) & (dist > 0)
-        total += float((1.0 / dist[finite]).sum())
+    for _, _, dist, _ in _traversals(g):
+        total += float((1.0 / dist[dist > 0]).sum())
     return total / (n * (n - 1))
 
 
 def betweenness(g: Graph) -> np.ndarray:
-    """Exact betweenness centrality (unordered-pair counting) of every vertex.
-
-    Runs breadth-first search and dependency accumulation for all sources in
-    batches: shortest-path counts spread level by level through sparse
-    products, then dependencies flow back down the level structure.
-    """
-    active, adj = _active_adjacency(g)
-    k = adj.shape[0]
-    bc = np.zeros(k)
-    for start in range(0, k, _BETWEENNESS_BATCH):
-        sources = np.arange(start, min(start + _BETWEENNESS_BATCH, k))
-        b = sources.size
-        cols = np.arange(b)
-        dist = np.full((k, b), -1, dtype=np.int32)
-        sigma = np.zeros((k, b))
-        dist[sources, cols] = 0
-        sigma[sources, cols] = 1.0
-
-        level = 0
-        while True:
-            frontier = dist == level
-            if not frontier.any():
-                break
-            paths = adj.dot(np.where(frontier, sigma, 0.0))
-            newly = (paths > 0.0) & (dist < 0)
-            dist[newly] = level + 1
-            sigma[newly] = paths[newly]
-            level += 1
-
-        delta = np.zeros((k, b))
-        for lev in range(level - 1, 0, -1):
+    """Exact betweenness centrality (unordered-pair counting) of every vertex:
+    Brandes' dependencies flow back down each batch's breadth-first levels."""
+    bc = np.zeros(g.n)
+    for members, adj, dist, sigma in _traversals(g):
+        delta = np.zeros(dist.shape)
+        # Stopping at level 2 leaves the sources' own dependency at zero.
+        for lev in range(int(dist.max()), 1, -1):
             on = dist == lev
-            coef = np.zeros((k, b))
+            coef = np.zeros(dist.shape)
             coef[on] = (1.0 + delta[on]) / sigma[on]
             spread = adj.dot(coef)
             prev = dist == lev - 1
             delta[prev] += sigma[prev] * spread[prev]
-        delta[sources, cols] = 0.0
-        bc += delta.sum(axis=1)
-    full = np.zeros(g.n)
+        bc[members] += delta.sum(axis=1)
     # Each unordered pair was counted from both endpoints.
-    full[active] = bc / 2.0
-    return full
+    return bc / 2.0
 
 
 def central_point_dominance(g: Graph) -> float:

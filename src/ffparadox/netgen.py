@@ -22,6 +22,7 @@ graph format that ``metrics`` and the edge-list I/O use.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,7 +65,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build the graph from ``(u, v)`` pairs in any order and orientation.
+        """Build the graph from ``(u, v)`` pairs in any order and orientation,
+        given as pairs or as one flat array of ids ``u0, v0, u1, v1, ...``.
 
         Raises ``ValueError`` for a self-loop, a vertex id outside
         ``[0, n)`` or an edge given twice (in either orientation).
@@ -352,7 +354,10 @@ def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
         store = _generate_model_b(degrees, rng, block_size)
     else:
         store = _generate_kalisky(degrees, rng)
-    return Graph.from_edges(degrees.size, store.items)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(store.items), dtype=np.int64, count=2 * len(store)
+    )
+    return Graph.from_edges(degrees.size, flat)
 
 
 @dataclass(frozen=True)

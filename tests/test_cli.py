@@ -279,3 +279,11 @@ class TestAnalyzeCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["fit"] == {"error": "NO_MAXIMUM"}
+
+    def test_too_many_vertex_pairs_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "path.txt"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(39999)))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert "1599960000 connected ordered vertex pairs" in err

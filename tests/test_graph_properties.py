@@ -1,6 +1,8 @@
 """Property tests of the array-backed graph core: canonical edges, the CSR
-adjacency, derived degrees and components, and edge-list I/O."""
+adjacency, derived degrees and components, edge-list I/O, and the traversal
+metrics against networkx."""
 
+import itertools
 import os
 import re
 import tempfile
@@ -10,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffparadox.metrics import components, ff_total_adjacency
+from ffparadox.metrics import (
+    betweenness,
+    components,
+    ff_total_adjacency,
+    global_efficiency,
+)
 from ffparadox.netgen import Graph, read_edge_list, write_edge_list
 
 # The first scipy call of a process can exceed hypothesis's default deadline.
@@ -28,6 +35,23 @@ def edge_lists(draw, max_n=60):
     flips = draw(st.lists(st.booleans(), min_size=len(canon), max_size=len(canon)))
     oriented = [(v, u) if flip else (u, v) for (u, v), flip in zip(canon, flips)]
     return n, canon, draw(st.permutations(oriented))
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """(n, edges) of a graph whose ids fall into several blocks with no edge
+    between blocks; one-vertex blocks are isolated ids, and the ids are
+    shuffled so no component is contiguous."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=6))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for size in sizes:
+        block = list(itertools.combinations(range(start, start + size), 2))
+        if block:
+            edges += draw(st.sets(st.sampled_from(block), max_size=len(block)))
+        start += size
+    return n, [(ids[u], ids[v]) for u, v in edges]
 
 
 @no_deadline
@@ -83,6 +107,24 @@ def test_components_match_networkx(case):
     reference.add_edges_from(canon)
     assert sizes == sorted(
         (len(c) for c in nx.connected_components(reference)), reverse=True
+    )
+
+
+@no_deadline
+@given(multi_component_graphs())
+def test_traversal_metrics_match_networkx(case):
+    nx = pytest.importorskip("networkx")
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    assert global_efficiency(g) == pytest.approx(
+        nx.global_efficiency(reference), rel=1e-9, abs=1e-12
+    )
+    want = nx.betweenness_centrality(reference, normalized=False)
+    np.testing.assert_allclose(
+        betweenness(g), [want[v] for v in range(n)], rtol=1e-9, atol=1e-9
     )
 
 

@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from ffparadox.errors import AllIsolatedError
+from ffparadox.errors import AllIsolatedError, DomainError, TooManyPairsError
 from ffparadox.metrics import (
     betweenness,
     central_point_dominance,
@@ -21,7 +21,8 @@ from ffparadox.metrics import (
     kff_from_histogram,
     stats_from_degrees,
 )
-from ffparadox.netgen import Graph
+from ffparadox.netgen import Graph, Model, generate, make_graphical
+from ffparadox.powerlaw import PowerLawSpec, sample_degrees
 
 
 def graph_from(n, edges):
@@ -261,3 +262,34 @@ class TestCentralPointDominance:
             g = random_simple_graph(n, float(rng.uniform(0.1, 0.5)), rng)
             value = central_point_dominance(g)
             assert 0.0 <= value <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_generated_graphs_match_networkx(model):
+    nx = pytest.importorskip("networkx")
+    seq = make_graphical(sample_degrees(PowerLawSpec(2.0, 1.0, 40.0), 400, 3), seed=1)
+    g = generate(seq, model, seed=7)
+    if model is Model.B:
+        assert len(components(g)) > 10
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(g.edges.tolist())
+    assert global_efficiency(g) == pytest.approx(
+        nx.global_efficiency(reference), rel=1e-9
+    )
+    want = nx.betweenness_centrality(reference, normalized=False)
+    np.testing.assert_allclose(
+        betweenness(g), [want[v] for v in range(g.n)], rtol=1e-9, atol=1e-9
+    )
+
+
+class TestWorkLimit:
+    def test_long_path_is_refused_before_any_traversal(self):
+        # one component of 40 000 vertices: 1.6 x 10^9 ordered pairs
+        n = 40000
+        g = graph_from(n, [(v, v + 1) for v in range(n - 1)])
+        for metric in (global_efficiency, betweenness, central_point_dominance):
+            with pytest.raises(TooManyPairsError, match="1599960000"):
+                metric(g)
+        assert issubclass(TooManyPairsError, DomainError)
+        assert TooManyPairsError.code == "TOO_MANY_PAIRS"
