@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -143,7 +143,9 @@ def _parse_kmax(text: str) -> float:
 
 
 def _fmt(value) -> str:
-    return "" if value is None else str(value)
+    if value is None:
+        return ""
+    return value.value if isinstance(value, (Branch, Model)) else str(value)
 
 
 def _jsonable(value):
@@ -155,33 +157,27 @@ def _jsonable(value):
     return value
 
 
+def _csv(header, rows) -> str:
+    """A header line, then one line per row, a mapping over the header's
+    column names; a column a row has no key for prints empty."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(row.get(name)) for name in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def run_sweep(alphas, kmaxs, k_min: float) -> list[SweepRow]:
     rows = []
     for alpha in alphas:
         for k_max in kmaxs:
-            result = powerlaw.predict(PowerLawSpec(alpha, k_min, k_max))
-            rows.append(
-                SweepRow(
-                    alpha=alpha,
-                    k_min=k_min,
-                    k_max=k_max,
-                    mean_k=result.mean_k,
-                    k_ff=result.k_ff,
-                    var_to_mean=result.var_to_mean,
-                    branch=result.branch,
-                )
-            )
+            r = powerlaw.predict(PowerLawSpec(alpha, k_min, k_max))
+            rows.append(SweepRow(
+                alpha, k_min, k_max, r.mean_k, r.k_ff, r.var_to_mean, r.branch
+            ))
     return rows
 
 
 def sweep_csv(rows) -> str:
-    lines = ["alpha,k_min,k_max,mean_k,k_ff,var_to_mean,branch"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.alpha)},{_fmt(r.k_min)},{_fmt(r.k_max)},"
-            f"{_fmt(r.mean_k)},{_fmt(r.k_ff)},{_fmt(r.var_to_mean)},{r.branch.value}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv([f.name for f in fields(SweepRow)], map(vars, rows))
 
 
 def run_experiment(
@@ -213,35 +209,16 @@ def run_experiment(
     for k_max in kmaxs:
         spec = PowerLawSpec(alpha, k_min, k_max)
         predicted = powerlaw.predict(spec).var_to_mean
-        alpha_hats: dict[int, float | None] = {}
-        measured: dict[tuple, dict] = {}
+        targets = {}  # seed -> (sequence, alpha_hat, fit error code)
         for seed in seeds:
             sample, seq = _target_sequence(spec, n, seed)
-            fit_error = None
             try:
-                alpha_hats[seed] = fit.fit_alpha(
-                    sample, k_min=k_min, k_max=k_max
-                ).alpha_hat
+                result = fit.fit_alpha(sample, k_min=k_min, k_max=k_max)
+                targets[seed] = seq, result.alpha_hat, None
             except DomainError as exc:
-                alpha_hats[seed] = None
-                fit_error = exc.code
-            for model in models:
-                try:
-                    g = _realize(seq, seed, k_max, model, block_size)
-                    stats = metrics.stats_from_degrees(g.degrees())
-                    comps = metrics.components(g)
-                    measured[(model, seed)] = dict(
-                        empirical_mean=stats.mean_k,
-                        empirical_variance=stats.variance,
-                        empirical_ratio=stats.gap,
-                        components=len(comps),
-                        giant_fraction=comps[0] / g.n,
-                        error=fit_error,
-                    )
-                except DomainError as exc:
-                    measured[(model, seed)] = dict(error=exc.code)
+                targets[seed] = seq, None, exc.code
 
-        fitted = [a for a in alpha_hats.values() if a is not None]
+        fitted = [a for _, a, _ in targets.values() if a is not None]
         if fitted:
             band = [
                 powerlaw.predict(PowerLawSpec(a, k_min, k_max)).var_to_mean
@@ -253,59 +230,62 @@ def run_experiment(
 
         for model in models:
             for seed in seeds:
-                rows.append(
-                    ExperimentRow(
-                        model=model,
-                        seed=seed,
-                        n=n,
-                        k_max=k_max,
-                        alpha_hat=alpha_hats[seed],
-                        predicted_ratio=predicted,
-                        predicted_lo=lo,
-                        predicted_hi=hi,
-                        **measured[(model, seed)],
+                seq, alpha_hat, error = targets[seed]
+                measured = {}
+                try:
+                    g = _realize(seq, seed, k_max, model, block_size)
+                    stats = metrics.stats_from_degrees(g.degrees())
+                    comps = metrics.components(g)
+                    measured = dict(
+                        empirical_mean=stats.mean_k,
+                        empirical_variance=stats.variance,
+                        empirical_ratio=stats.gap,
+                        components=len(comps),
+                        giant_fraction=comps[0] / g.n,
                     )
-                )
+                except DomainError as exc:
+                    error = exc.code
+                rows.append(ExperimentRow(
+                    model, seed, n, k_max, alpha_hat, predicted, lo, hi,
+                    error=error, **measured,
+                ))
     return rows
 
 
+_EXPERIMENT_COLUMNS = (
+    "kind", "model", "seed", "n", "k_max", "alpha_hat", "empirical_mean",
+    "empirical_variance", "empirical_ratio", "predicted_ratio", "predicted_lo",
+    "predicted_hi", "components", "giant_fraction", "error",
+)
+# Averaged over a group's cells without an error in its summary row.
+_MEASURED = (
+    "empirical_mean", "empirical_variance", "empirical_ratio", "components",
+    "giant_fraction",
+)
+
+
 def experiment_csv(rows) -> str:
-    header = (
-        "kind,model,seed,n,k_max,alpha_hat,empirical_mean,empirical_variance,"
-        "empirical_ratio,predicted_ratio,predicted_lo,predicted_hi,"
-        "components,giant_fraction,error"
-    )
-    lines = [header]
+    """One ``cell`` row per ExperimentRow, then one ``summary`` row per
+    (model, k_max) group."""
+    records = []
     groups: dict[tuple, list[ExperimentRow]] = {}
     for r in rows:
-        lines.append(
-            f"cell,{r.model.value},{r.seed},{r.n},{_fmt(r.k_max)},"
-            f"{_fmt(r.alpha_hat)},{_fmt(r.empirical_mean)},"
-            f"{_fmt(r.empirical_variance)},{_fmt(r.empirical_ratio)},"
-            f"{_fmt(r.predicted_ratio)},{_fmt(r.predicted_lo)},"
-            f"{_fmt(r.predicted_hi)},{_fmt(r.components)},"
-            f"{_fmt(r.giant_fraction)},{r.error or ''}"
-        )
+        records.append(dict(vars(r), kind="cell"))
         groups.setdefault((r.model, r.k_max), []).append(r)
     for (model, k_max), members in groups.items():
+        first = members[0]
         ok = [r for r in members if r.error is None]
+        summary = dict(kind="summary", model=model, n=first.n, k_max=k_max,
+                       predicted_ratio=first.predicted_ratio)
         if ok:
-            mean_of = lambda attr: sum(getattr(r, attr) for r in ok) / len(ok)
-            lines.append(
-                f"summary,{model.value},,{ok[0].n},{_fmt(k_max)},,"
-                f"{_fmt(mean_of('empirical_mean'))},"
-                f"{_fmt(mean_of('empirical_variance'))},"
-                f"{_fmt(mean_of('empirical_ratio'))},"
-                f"{_fmt(ok[0].predicted_ratio)},{_fmt(ok[0].predicted_lo)},"
-                f"{_fmt(ok[0].predicted_hi)},{_fmt(mean_of('components'))},"
-                f"{_fmt(mean_of('giant_fraction'))},"
-            )
+            summary.update(predicted_lo=first.predicted_lo,
+                           predicted_hi=first.predicted_hi)
+            for name in _MEASURED:
+                summary[name] = sum(getattr(r, name) for r in ok) / len(ok)
         else:
-            lines.append(
-                f"summary,{model.value},,{members[0].n},{_fmt(k_max)},"
-                f",,,,{_fmt(members[0].predicted_ratio)},,,,,ALL_CELLS_FAILED"
-            )
-    return "\n".join(lines) + "\n"
+            summary["error"] = "ALL_CELLS_FAILED"
+        records.append(summary)
+    return _csv(_EXPERIMENT_COLUMNS, records)
 
 
 def _emit(text: str, out_path):
@@ -318,19 +298,9 @@ def _emit(text: str, out_path):
 
 def _cmd_predict(args) -> int:
     spec = PowerLawSpec(args.alpha, args.kmin, _parse_kmax(args.kmax))
-    result = powerlaw.predict(spec)
-    payload = {
-        "alpha": spec.alpha,
-        "k_min": spec.k_min,
-        "k_max": _jsonable(spec.k_max),
-        "c": _jsonable(result.c),
-        "mean_k": result.mean_k,
-        "second_moment": result.second_moment,
-        "variance": result.variance,
-        "var_to_mean": result.var_to_mean,
-        "k_ff": result.k_ff,
-        "branch": result.branch.value,
-    }
+    # Branch is a str enum, so json writes it as its value.
+    payload = {**asdict(spec), **asdict(powerlaw.predict(spec))}
+    payload = {key: _jsonable(value) for key, value in payload.items()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -397,13 +367,7 @@ def _cmd_analyze(args) -> int:
     payload = {
         "n": g.n,
         "edges": len(g.edges),
-        "stats": {
-            "mean_k": stats.mean_k,
-            "second_moment": stats.second_moment,
-            "variance": stats.variance,
-            "k_ff": stats.k_ff,
-            "gap": stats.gap,
-        },
+        "stats": {k: v for k, v in asdict(stats).items() if k != "n"},
         "components": {"count": len(comps), "sizes": comps},
         "global_efficiency": metrics.global_efficiency(g) if g.n >= 2 else None,
         "central_point_dominance": (
@@ -411,14 +375,7 @@ def _cmd_analyze(args) -> int:
         ),
     }
     try:
-        result = fit.fit_alpha(degrees)
-        payload["fit"] = {
-            "alpha_hat": result.alpha_hat,
-            "stderr": result.stderr,
-            "k_min_used": result.k_min_used,
-            "n_tail": result.n_tail,
-            "ks_distance": result.ks_distance,
-        }
+        payload["fit"] = asdict(fit.fit_alpha(degrees))
     except DomainError as exc:
         payload["fit"] = {"error": exc.code}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -483,10 +440,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except (DomainError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (DomainError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -182,19 +182,18 @@ def _try_swap_repair(u, v, store: _EdgeStore, rng, budget: int) -> tuple[bool, i
     return False, attempts
 
 
-def _pair_stubs(stubs: np.ndarray, store: _EdgeStore, rng) -> int:
+def _pair_stubs(stubs: np.ndarray, store: _EdgeStore, rng):
     """Pair a stub multiset into simple edges added to ``store``.
 
     Alternates reshuffle rounds with edge-swap repair until the pool is empty
     or stops shrinking; repair work is bounded by 10 * |edges| candidate
-    swaps overall.  Returns the number of stubs dropped.
+    swaps overall.  Stubs left unpaired are dropped (see ``drop_report``).
     """
     pending = np.asarray(stubs, dtype=np.int64).copy()
-    dropped = 0
     if pending.size % 2 == 1:
         # A lone stub can never pair; drop one uniformly-chosen occurrence.
         rng.shuffle(pending)
-        pending, dropped = pending[:-1], 1
+        pending = pending[:-1]
 
     budget = 10 * max(1, pending.size // 2)
     stalls = 0
@@ -224,7 +223,6 @@ def _pair_stubs(stubs: np.ndarray, store: _EdgeStore, rng) -> int:
             unplaced.extend((u, v))
         pending = np.array(unplaced, dtype=np.int64)
         stalls = stalls + 1 if pending.size == before else 0
-    return dropped + pending.size
 
 
 def _check_sequence(degrees: np.ndarray):
@@ -241,14 +239,14 @@ def _check_sequence(degrees: np.ndarray):
         )
 
 
-def _generate_model_a(degrees, rng) -> _EdgeStore:
+def _generate_model_a(degrees, rng) -> list:
     store = _EdgeStore()
     stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
     _pair_stubs(stubs, store, rng)
-    return store
+    return store.items
 
 
-def _generate_model_b(degrees, rng, block_size: int) -> _EdgeStore:
+def _generate_model_b(degrees, rng, block_size: int) -> list:
     """Pair stubs only inside vertex blocks.
 
     Blocks are built from a random vertex order with target size
@@ -290,18 +288,18 @@ def _generate_model_b(degrees, rng, block_size: int) -> _EdgeStore:
         else:
             blocks.append(current)
 
-    store = _EdgeStore()
+    # Blocks share no vertices, so their edge sets are disjoint.
+    edges = []
     for block in blocks:
-        block_store = _EdgeStore()
+        store = _EdgeStore()
         members = np.array(block, dtype=np.int64)
         stubs = np.repeat(members, degrees[members])
-        _pair_stubs(stubs, block_store, rng)
-        for e in block_store.items:
-            store.add(e)
-    return store
+        _pair_stubs(stubs, store, rng)
+        edges += store.items
+    return edges
 
 
-def _generate_kalisky(degrees, rng) -> _EdgeStore:
+def _generate_kalisky(degrees, rng) -> list:
     """Wire hubs-first, building the network outward from its core.
 
     Vertices are placed in descending degree order.  Each arriving vertex
@@ -331,7 +329,7 @@ def _generate_kalisky(degrees, rng) -> _EdgeStore:
         open_stubs.extend([v] * (d - made))
     if open_stubs:
         _pair_stubs(np.array(open_stubs, dtype=np.int64), store, rng)
-    return store
+    return store.items
 
 
 def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
@@ -349,13 +347,13 @@ def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
     model = Model(model)
     rng = np.random.default_rng(seed)
     if model is Model.A:
-        store = _generate_model_a(degrees, rng)
+        edges = _generate_model_a(degrees, rng)
     elif model is Model.B:
-        store = _generate_model_b(degrees, rng, block_size)
+        edges = _generate_model_b(degrees, rng, block_size)
     else:
-        store = _generate_kalisky(degrees, rng)
+        edges = _generate_kalisky(degrees, rng)
     flat = np.fromiter(
-        itertools.chain.from_iterable(store.items), dtype=np.int64, count=2 * len(store)
+        itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
     )
     return Graph.from_edges(degrees.size, flat)
 
@@ -395,8 +393,9 @@ def write_edge_list(g: Graph, path):
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file; vertex count is max id + 1.
 
-    Self-loops, duplicate edges (in either orientation) and malformed lines
-    are rejected with their line number.
+    Malformed lines, then self-loops, negative ids and duplicate edges (in
+    either orientation, checked by ``Graph.from_edges``) are rejected with
+    their line number.
     """
     ids = []
     linenos = []
@@ -413,10 +412,6 @@ def read_edge_list(path) -> Graph:
                 raise ValueError(
                     f"line {lineno}: vertex ids must be integers, got {line.strip()!r}"
                 ) from None
-            if u < 0 or v < 0:
-                raise ValueError(f"line {lineno}: vertex ids must be non-negative")
-            if u == v:
-                raise ValueError(f"line {lineno}: self-loop at vertex {u}")
             ids += (u, v)
             linenos.append(lineno)
     edges = np.array(ids, dtype=np.int64)

@@ -42,6 +42,23 @@ class TestPredictCommand:
         assert payload["k_max"] == "inf"
         assert payload["mean_k"] == pytest.approx(1.5)
 
+    def test_key_order(self, capsys):
+        _, out, _ = run(capsys, "predict", "--alpha", "3", "--kmax", "100")
+        assert list(json.loads(out)) == [
+            "alpha", "k_min", "k_max", "c", "mean_k", "second_moment",
+            "variance", "var_to_mean", "k_ff", "branch",
+        ]
+
+    def test_point_mass_has_null_constant(self, capsys):
+        code, out, _ = run(capsys, "predict", "--alpha", "2.5", "--kmin", "5",
+                           "--kmax", "5")
+        assert code == 0
+        assert '"c": null' in out
+        payload = json.loads(out)
+        assert payload["branch"] == "DEGENERATE"
+        assert payload["mean_k"] == payload["k_ff"] == 5.0
+        assert payload["variance"] == payload["var_to_mean"] == 0.0
+
     def test_unbounded_kmax_divergent_for_alpha2(self, capsys):
         code, _, err = run(capsys, "predict", "--alpha", "2", "--kmax", "inf")
         assert code == 2
@@ -183,6 +200,21 @@ class TestExperimentCommand:
         assert float(by_kmax["10.0"]["empirical_ratio"]) > 0
 
 
+    def test_all_failed_group_summary_row(self, capsys):
+        # every degree sample at alpha 1.3, k_max 5000 has a degree >= n = 100
+        code, out, _ = run(capsys, "experiment", "--alpha", "1.3",
+                           "--kmaxs", "5000", "--n", "100", "--seeds", "0",
+                           "--models", "A,B")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert [line.split(",")[-1] for line in lines[1:3]] == [
+            "IMPOSSIBLE_SEQUENCE"] * 2
+        assert lines[3:] == [
+            f"summary,{m},,100,5000.0,,,,,1884.1251364739578,,,,,ALL_CELLS_FAILED"
+            for m in ("A", "B")
+        ]
+
+
 class TestGenerateCommand:
     def test_writes_deterministic_edge_list(self, capsys, tmp_path):
         out1 = tmp_path / "a.txt"
@@ -254,6 +286,22 @@ class TestAnalyzeCommand:
         assert payload["stats"]["k_ff"] == pytest.approx(2.0)
         assert payload["central_point_dominance"] == pytest.approx(1.0)
         assert payload["components"] == {"count": 1, "sizes": [4]}
+
+    def test_key_order(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n0 2\n0 3\n1 2\n3 4\n4 5\n")
+        _, out, _ = run(capsys, "analyze", str(path))
+        payload = json.loads(out)
+        assert list(payload) == [
+            "n", "edges", "stats", "components", "global_efficiency",
+            "central_point_dominance", "fit",
+        ]
+        assert list(payload["stats"]) == [
+            "mean_k", "second_moment", "variance", "k_ff", "gap",
+        ]
+        assert list(payload["fit"]) == [
+            "alpha_hat", "stderr", "k_min_used", "n_tail", "ks_distance",
+        ]
 
     def test_empty_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"

@@ -203,6 +203,19 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match="line 2"):
             read_edge_list(path)
 
+    def test_negative_id_reports_line(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("0 1\n2 -3\n1 2\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == "line 2: vertex id out of range: (2, -3)"
+
+    def test_malformed_line_reported_before_earlier_bad_edge(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("-1 2\n3 3\nx y\n")
+        with pytest.raises(ValueError, match="line 3: vertex ids must be integers"):
+            read_edge_list(path)
+
     def test_malformed_line_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1\nx y\n")
