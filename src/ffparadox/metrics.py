@@ -6,13 +6,18 @@ point dominance) operate on the graph's CSR adjacency matrix,
 ``Graph.adjacency``, through ``scipy.sparse`` and ``scipy.sparse.csgraph``.
 
 Efficiency and betweenness share one exact all-sources traversal engine:
-a level-synchronous breadth-first search run separately on each connected
-component, from batches of sources at once, with sparse matrix products.
+a level-synchronous breadth-first search from batches of sources at once,
+one sparse matrix product per level, run separately on each connected
+component; small components share batches, since their adjacency is
+block-diagonal.  Each level is kept as the flat indices of the (vertex,
+source) entries it newly reached, so no step scans a dense per-level mask.
 Work grows with the sum of c(c - 1) over component sizes c, not with
 n(n - 1), so isolated vertices and many small components cost almost
 nothing; both metrics still normalize over all n vertices.  Past a fixed
 limit on that sum, ``TooManyPairsError`` is raised before any traversal.
-Betweenness accumulates Brandes' dependencies back down the same levels.
+The efficiency sum of 1/d(i, j) is the sum over levels k of |level k| / k;
+betweenness accumulates Brandes' dependencies back down the same level
+index lists.
 """
 
 from __future__ import annotations
@@ -25,13 +30,15 @@ from scipy.sparse import csgraph
 from .errors import AllIsolatedError, TooManyPairsError
 from .netgen import Graph
 
-# Sources per batch of the all-sources traversal: each block is
-# component size x batch.
+# Sources per batch of the all-sources traversal, and the most vertices that
+# small components packed together may have: each block is window size x
+# batch.
 _BATCH = 256
 # Limit on connected ordered vertex pairs, sum of c(c - 1) over component
 # sizes c, which traversal time grows with: ten times the criterion-9 graphs'
-# ~10^8 (n = 10^4) and far above the benchmark's ~1.4 x 10^6 (n = 1200).  A
-# single component at the limit (31 623 vertices) has 65 MB float64 blocks.
+# ~10^8 (n = 10^4) and far above the benchmark's ~1.4 x 10^6 (n = 1200).  One
+# batch on a single component at the limit (31 623 vertices, mean degree 4)
+# peaks at about 340 MB of arrays for efficiency and 470 MB for betweenness.
 _MAX_PAIRS = 10**9
 
 
@@ -117,11 +124,21 @@ def components(g: Graph) -> list[int]:
 
 
 def _traversals(g: Graph):
-    """Breadth-first search from every vertex, one component at a time.
+    """Breadth-first search from every vertex, a window of components at a
+    time.
 
-    For each batch of sources in each component of two or more vertices,
-    yields the component's vertex ids, its adjacency in local ids, and the
-    (size, batch) blocks of hop distances (-1 if unreached) and path counts.
+    Components of two or more vertices are permuted to the front.  Each one
+    larger than ``_BATCH`` is a window of its own; runs of consecutive
+    smaller ones are packed into windows of at most ``_BATCH`` vertices.
+    For each batch of sources in each window, yields:
+
+    * the window's vertex ids and its adjacency in local ids;
+    * the ``(lo, hi)`` spans of local ids of its components;
+    * a zeroed dense (size, batch) block for sparse products, which the
+      caller may write but must leave zeroed;
+    * the breadth-first levels: for each hop distance k from 0, the flat
+      indices into that block of the (vertex, source) entries first reached
+      at distance k, and their shortest-path counts.
     """
     _, labels = csgraph.connected_components(g.adjacency, directed=False)
     sizes = np.bincount(labels)
@@ -130,29 +147,43 @@ def _traversals(g: Graph):
         raise TooManyPairsError(
             f"{pairs} connected ordered vertex pairs exceed the limit of {_MAX_PAIRS}"
         )
-    # Permuted once by label, each component is a contiguous diagonal block.
-    order = np.argsort(labels, kind="stable")
+    # Permuted once, components of two or more vertices come first, each a
+    # contiguous diagonal block.  A packed window's adjacency is still
+    # block-diagonal, so no path crosses from one of its components to another.
+    order = np.lexsort((labels, sizes[labels] == 1))
     permuted = g.adjacency[order][:, order]
-    ends = np.cumsum(sizes)
-    for label in np.flatnonzero(sizes > 1):
-        lo, hi = ends[label] - sizes[label], ends[label]
+    # Each window: its span of the permuted order, and its components' spans
+    # within it.
+    windows, parts, lo, hi = [], [], 0, 0
+    for size in sizes[sizes > 1].tolist():
+        if parts and hi + size - lo > _BATCH:
+            windows.append((lo, hi, parts))
+            parts, lo = [], hi
+        parts.append((hi - lo, hi + size - lo))
+        hi += size
+    if parts:
+        windows.append((lo, hi, parts))
+    for lo, hi, parts in windows:
         members, adj, size = order[lo:hi], permuted[lo:hi, lo:hi], hi - lo
+        buf = np.zeros(size * min(size, _BATCH))
         for start in range(0, size, _BATCH):
-            sources = np.arange(start, min(start + _BATCH, size))
-            cols = np.arange(sources.size)
-            dist = np.full((size, sources.size), -1, dtype=np.int32)
-            sigma = np.zeros((size, sources.size))
-            dist[sources, cols] = 0
-            sigma[sources, cols] = 1.0
-
-            level = 0
-            while (frontier := dist == level).any():
-                paths = adj.dot(np.where(frontier, sigma, 0.0))
-                newly = (paths > 0.0) & (dist < 0)
-                dist[newly] = level + 1
-                sigma[newly] = paths[newly]
-                level += 1
-            yield members, adj, dist, sigma
+            b = min(_BATCH, size - start)
+            flat = buf[: size * b]
+            block = flat.reshape(size, b)
+            unseen = np.ones(size * b, dtype=bool)
+            # Source j is local vertex start + j: entry (start + j) * b + j.
+            idx = np.arange(start * b, (start + b) * b, b + 1)
+            sigma = np.ones(b)
+            levels = []
+            while idx.size:
+                unseen[idx] = False
+                levels.append((idx, sigma))
+                flat[idx] = sigma
+                paths = adj.dot(block).ravel()
+                flat[idx] = 0.0
+                idx = np.flatnonzero(np.logical_and(paths, unseen))
+                sigma = paths[idx]
+            yield members, adj, parts, block, levels
 
 
 def global_efficiency(g: Graph) -> float:
@@ -161,8 +192,8 @@ def global_efficiency(g: Graph) -> float:
     if n < 2:
         raise ValueError("global efficiency needs at least 2 vertices")
     total = 0.0
-    for _, _, dist, _ in _traversals(g):
-        total += float((1.0 / dist[dist > 0]).sum())
+    for *_, levels in _traversals(g):
+        total += sum(idx.size / k for k, (idx, _) in enumerate(levels) if k)
     return total / (n * (n - 1))
 
 
@@ -170,17 +201,24 @@ def betweenness(g: Graph) -> np.ndarray:
     """Exact betweenness centrality (unordered-pair counting) of every vertex:
     Brandes' dependencies flow back down each batch's breadth-first levels."""
     bc = np.zeros(g.n)
-    for members, adj, dist, sigma in _traversals(g):
-        delta = np.zeros(dist.shape)
+    for members, adj, parts, block, levels in _traversals(g):
+        flat = block.ravel()
+        delta = np.zeros(flat.size)
         # Stopping at level 2 leaves the sources' own dependency at zero.
-        for lev in range(int(dist.max()), 1, -1):
-            on = dist == lev
-            coef = np.zeros(dist.shape)
-            coef[on] = (1.0 + delta[on]) / sigma[on]
-            spread = adj.dot(coef)
-            prev = dist == lev - 1
-            delta[prev] += sigma[prev] * spread[prev]
-        bc[members] += delta.sum(axis=1)
+        for lev in range(len(levels) - 1, 1, -1):
+            idx, sigma = levels[lev]
+            flat[idx] = (1.0 + delta[idx]) / sigma
+            spread = adj.dot(block).ravel()
+            flat[idx] = 0.0
+            prev, prev_sigma = levels[lev - 1]
+            delta[prev] = prev_sigma * spread[prev]
+        rows = delta.reshape(block.shape)
+        # Summing each component's own rows and columns, not the whole
+        # window's, keeps every sum's operands and order those of a
+        # component traversed alone (a component larger than a batch has
+        # one span, which covers all the batch's columns).
+        for lo, hi in parts:
+            bc[members[lo:hi]] += rows[lo:hi, lo:hi].sum(axis=1)
     # Each unordered pair was counted from both endpoints.
     return bc / 2.0
 

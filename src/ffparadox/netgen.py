@@ -22,6 +22,7 @@ graph format that ``metrics`` and the edge-list I/O use.
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -397,6 +398,12 @@ def read_edge_list(path) -> Graph:
     either orientation, checked by ``Graph.from_edges``) are rejected with
     their line number.
     """
+    edges = _load_pairs(path)
+    if edges is not None:
+        try:
+            return Graph.from_edges(int(edges.max()) + 1, edges)
+        except _EdgeError:
+            pass  # parsed again below, line by line, to name the line
     ids = []
     linenos = []
     with open(path, "r", encoding="ascii") as fh:
@@ -420,3 +427,18 @@ def read_edge_list(path) -> Graph:
         return Graph.from_edges(n, edges)
     except _EdgeError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
+
+
+def _load_pairs(path):
+    """The ``(m, 2)`` ids of a file whose nonblank lines all hold two int64
+    ids, parsed in one pass; None for any other file, blank ones included,
+    which ``read_edge_list`` parses line by line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+        if not text.strip():
+            return None  # loadtxt warns on empty input
+        edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return edges if edges.shape[1] == 2 else None

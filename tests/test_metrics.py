@@ -13,6 +13,7 @@ import pytest
 
 from ffparadox.errors import AllIsolatedError, DomainError, TooManyPairsError
 from ffparadox.metrics import (
+    _BATCH,
     betweenness,
     central_point_dominance,
     components,
@@ -264,6 +265,39 @@ class TestCentralPointDominance:
             assert 0.0 <= value <= 1.0 + 1e-12
 
 
+def assert_matches_networkx(g):
+    """Efficiency and betweenness against networkx; betweenness is taken one
+    component at a time, where no shortest path leaves the component."""
+    nx = pytest.importorskip("networkx")
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(g.edges.tolist())
+    assert global_efficiency(g) == pytest.approx(
+        nx.global_efficiency(reference), rel=1e-9
+    )
+    want = {}
+    for members in nx.connected_components(reference):
+        sub = reference.subgraph(members)
+        want.update(nx.betweenness_centrality(sub, normalized=False))
+    np.testing.assert_allclose(
+        betweenness(g), [want[v] for v in range(g.n)], rtol=1e-9, atol=1e-9
+    )
+
+
+def connected_blocks(sizes, rng):
+    """Edges of one connected random graph per block of consecutive ids: a
+    random spanning tree plus about as many random chords."""
+    edges, start = set(), 0
+    for size in sizes:
+        for v in range(1, size):
+            edges.add((start + int(rng.integers(v)), start + v))
+        for u, v in rng.integers(size, size=(size, 2)).tolist():
+            if u != v:
+                edges.add((start + min(u, v), start + max(u, v)))
+        start += size
+    return sorted(edges)
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_generated_graphs_match_networkx(model):
     nx = pytest.importorskip("networkx")
@@ -281,6 +315,50 @@ def test_generated_graphs_match_networkx(model):
     np.testing.assert_allclose(
         betweenness(g), [want[v] for v in range(g.n)], rtol=1e-9, atol=1e-9
     )
+
+
+class TestTraversalWindows:
+    """Components are traversed in windows of at most ``_BATCH`` sources:
+    one window per larger component, small components packed together."""
+
+    def test_components_of_batch_size_and_one_more(self):
+        # The second component's last batch has a single source.
+        sizes = [_BATCH, _BATCH + 1]
+        edges = connected_blocks(sizes, np.random.default_rng(5))
+        g = graph_from(sum(sizes), edges)
+        assert components(g) == sorted(sizes, reverse=True)
+        assert_matches_networkx(g)
+
+    def test_window_packed_to_exactly_batch_size(self):
+        # 100 + 100 + (_BATCH - 200) fill one window; the last two share the next.
+        sizes = [100, 100, _BATCH - 200, 3, 5]
+        edges = connected_blocks(sizes, np.random.default_rng(6))
+        g = graph_from(sum(sizes), edges)
+        assert sorted(components(g)) == sorted(sizes)
+        assert_matches_networkx(g)
+
+    def test_packed_component_values_equal_those_of_the_component_alone(self):
+        sizes = [5, 9, 12, 30, 7] * 6
+        edges = connected_blocks(sizes, np.random.default_rng(8))
+        packed = betweenness(graph_from(sum(sizes), edges))
+        start = 0
+        for size in sizes:
+            stop = start + size
+            inside = [(u - start, v - start) for u, v in edges if start <= u < stop]
+            alone = betweenness(graph_from(size, inside))
+            assert np.array_equal(packed[start:stop], alone)
+            start = stop
+
+    def test_thousands_of_tiny_components_around_a_large_one(self):
+        rng = np.random.default_rng(7)
+        sizes = [2] * 1500 + [3] * 1000 + [600]
+        rng.shuffle(sizes)
+        edges = connected_blocks(sizes, rng)
+        n = sum(sizes) + 100  # 100 more ids are isolated
+        ids = rng.permutation(n)
+        g = graph_from(n, [(ids[u], ids[v]) for u, v in edges])
+        assert len(components(g)) == len(sizes) + 100
+        assert_matches_networkx(g)
 
 
 class TestWorkLimit:

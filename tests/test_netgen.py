@@ -221,3 +221,42 @@ class TestEdgeListIO:
         path.write_text("0 1\nx y\n")
         with pytest.raises(ValueError, match="line 2"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "text, n, edges",
+        [
+            ("0 1\r\n1 2\r\n", 3, [[0, 1], [1, 2]]),
+            ("0\t1\n2\t1\n", 3, [[0, 1], [1, 2]]),
+            ("+5 0\n1_000 5\n", 1001, [[0, 5], [5, 1000]]),
+            ("0 1\n\n  \n2 1\n", 3, [[0, 1], [1, 2]]),
+            ("", 0, []),
+            ("\n  \n\t\n", 0, []),
+        ],
+        ids=["crlf", "tabs", "plus-underscore", "blank-lines", "empty", "blank-only"],
+    )
+    def test_accepted_text(self, tmp_path, text, n, edges):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode("ascii"))
+        g = read_edge_list(path)
+        assert g.n == n
+        assert g.edges.tolist() == edges
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "0 1\n# comment\n1 2\n",
+                "line 2: vertex ids must be integers, got '# comment'",
+            ),
+            ("0 1\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
+            ("0 1\r\n\r\n1 0\r\n", "line 3: duplicate edge (0, 1)"),
+            ("0 1\n\n3 3\n", "line 3: self-loop at vertex 3"),
+        ],
+        ids=["comment", "three-fields", "duplicate-after-blank", "loop-after-blank"],
+    )
+    def test_rejected_text_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == message
