@@ -77,6 +77,7 @@ class ExperimentRow:
     empirical_ratio: float | None = None
     components: int | None = None
     giant_fraction: float | None = None
+    dropped_stubs: int | None = None
     error: str | None = None
 
 
@@ -242,6 +243,7 @@ def run_experiment(
                         empirical_ratio=stats.gap,
                         components=len(comps),
                         giant_fraction=comps[0] / g.n,
+                        dropped_stubs=int(seq.sum()) - 2 * len(g.edges),
                     )
                 except DomainError as exc:
                     error = exc.code
@@ -255,12 +257,12 @@ def run_experiment(
 _EXPERIMENT_COLUMNS = (
     "kind", "model", "seed", "n", "k_max", "alpha_hat", "empirical_mean",
     "empirical_variance", "empirical_ratio", "predicted_ratio", "predicted_lo",
-    "predicted_hi", "components", "giant_fraction", "error",
+    "predicted_hi", "components", "giant_fraction", "dropped_stubs", "error",
 )
 # Averaged over a group's cells without an error in its summary row.
 _MEASURED = (
     "empirical_mean", "empirical_variance", "empirical_ratio", "components",
-    "giant_fraction",
+    "giant_fraction", "dropped_stubs",
 )
 
 

@@ -1,19 +1,19 @@
 """Realize degree sequences as simple undirected graphs.
 
-Three generator families share the same stub-pairing core but differ in how
-stubs are pooled, which changes the wiring style while keeping the degree
-sequence (almost) intact:
+Three generator families share one array stub-pairing routine but differ
+in how stubs are pooled, which changes the wiring style while keeping the
+degree sequence (almost) intact:
 
 * Model A   - one global stub pool; classic configuration-model pairing.
-* Model B   - stubs pair only inside small vertex blocks, which fragments the
-              graph into many components.
-* Kalisky   - vertices are placed hubs-first; each new vertex attaches its
-              stubs to open stubs of already-placed vertices, then leftovers
-              are paired globally.
+* Model B   - stubs pair only inside small vertex blocks (all blocks in the
+              same rounds), which fragments the graph into many components.
+* Kalisky   - vertices are placed hubs-first, each attaching to an open stub
+              of the placed ones; leftovers are paired globally.
 
-All generators forbid self-loops and multi-edges.  Stub pairs that cannot be
-placed after bounded edge-swap repair are dropped and reported, never turned
-into loops.
+Pairing rounds pair shuffled stubs by reshaping and find self-loops and
+repeats from sorted edge codes ``lo * n + hi``; conflicting pairs are placed
+by batched double-edge swaps.  Stubs left unplaced within the repair budget
+are dropped and reported, never turned into loops or multi-edges.
 
 Every realization, and every graph read from an edge-list file, is a
 ``Graph``: a canonical sorted edge array plus a CSR adjacency matrix, the one
@@ -23,7 +23,6 @@ graph format that ``metrics`` and the edge-list I/O use.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,10 +90,13 @@ class Graph:
             raise _EdgeError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", i)
         canon = np.column_stack((lo[order], hi[order]))
         canon.flags.writeable = False
-        rows = np.concatenate((canon[:, 0], canon[:, 1]))
-        cols = np.concatenate((canon[:, 1], canon[:, 0]))
+        # Both directions of every edge, sorted by (row, column), are the
+        # CSR column indices row by row.
+        both = np.concatenate((code, canon[:, 1] * n + canon[:, 0]))
+        both.sort()
+        indptr = np.searchsorted(both, np.arange(n + 1) * n)
         adjacency = sparse.csr_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(n, n)
+            (np.ones(both.size), both % max(n, 1), indptr), shape=(n, n)
         )
         return Graph(n=n, edges=canon, adjacency=adjacency)
 
@@ -115,115 +117,152 @@ def make_graphical(seq, seed: int = 0) -> np.ndarray:
     return degrees
 
 
-class _EdgeStore:
-    """Edge set with O(1) membership, insertion, deletion and random choice."""
-
-    def __init__(self):
-        self.index = {}
-        self.items = []
-
-    def __len__(self):
-        return len(self.items)
-
-    def __contains__(self, edge):
-        return edge in self.index
-
-    def add(self, edge):
-        self.index[edge] = len(self.items)
-        self.items.append(edge)
-
-    def remove(self, edge):
-        pos = self.index.pop(edge)
-        last = self.items.pop()
-        if pos < len(self.items):
-            self.items[pos] = last
-            self.index[last] = pos
-
-    def random(self, rng):
-        return self.items[int(rng.integers(len(self.items)))]
+# A conflicting pair draws 1, 2, 4, ... swap candidates in successive repair
+# rounds, up to this many in its last round.
+_MAX_TRIES = 32
 
 
-def _swap_candidate(u, v, x, y, store: _EdgeStore) -> bool:
-    """Whether rewiring edge (x, y) into (u, x) and (v, y) keeps the graph simple."""
-    if u == x or v == y:
-        return False
-    e1 = (u, x) if u < x else (x, u)
-    e2 = (v, y) if v < y else (y, v)
-    if e1 == e2 or e1 in store or e2 in store:
-        return False
-    store.remove((x, y) if x < y else (y, x))
-    store.add(e1)
-    store.add(e2)
-    return True
+def _codes(u, v, n: int) -> np.ndarray:
+    """The edge code lo * n + hi of each pair."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
-def _try_swap_repair(u, v, store: _EdgeStore, rng, budget: int) -> tuple[bool, int]:
-    """Place the stub pair (u, v) by rewiring one existing edge.
-
-    Random candidate edges first; if those fail and the store is small, a
-    systematic scan guarantees a swap is found whenever one exists.
-    Returns (placed, attempts_used).
-    """
-    attempts = 0
-    cap = min(budget, 64)
-    while attempts < cap and len(store) > 0:
-        attempts += 1
-        x, y = store.random(rng)
-        if int(rng.integers(2)):
-            x, y = y, x
-        if _swap_candidate(u, v, x, y, store):
-            return True, attempts
-    if len(store) <= 4096:
-        for x, y in list(store.items):
-            attempts += 1
-            if _swap_candidate(u, v, x, y, store) or _swap_candidate(
-                u, v, y, x, store
-            ):
-                return True, attempts
-    return False, attempts
+def _isin_sorted(q: np.ndarray, *sets: np.ndarray) -> np.ndarray:
+    """Which entries of ``q`` occur in any of the sorted arrays ``sets``."""
+    order = np.argsort(q)  # sorted queries search a few times faster
+    q, found = q[order], np.zeros(q.size, dtype=bool)
+    for s in (s for s in sets if s.size):
+        found[order] |= s[np.minimum(np.searchsorted(s, q), s.size - 1)] == q
+    return found
 
 
-def _pair_stubs(stubs: np.ndarray, store: _EdgeStore, rng):
-    """Pair a stub multiset into simple edges added to ``store``.
+def _encode(edges: np.ndarray, m: int, n: int, codes: np.ndarray):
+    """Write the sorted codes of ``edges[:m]`` into ``codes[:m]``."""
+    np.multiply(edges[:m, 0], n, out=codes[:m])
+    codes[:m] += edges[:m, 1]
+    codes[:m].sort()
 
-    Alternates reshuffle rounds with edge-swap repair until the pool is empty
-    or stops shrinking; repair work is bounded by 10 * |edges| candidate
-    swaps overall.  Stubs left unpaired are dropped (see ``drop_report``).
-    """
-    pending = np.asarray(stubs, dtype=np.int64).copy()
-    if pending.size % 2 == 1:
-        # A lone stub can never pair; drop one uniformly-chosen occurrence.
-        rng.shuffle(pending)
-        pending = pending[:-1]
 
-    budget = 10 * max(1, pending.size // 2)
+def _shuffle(stubs: np.ndarray, block, rng) -> np.ndarray:
+    """``stubs``, shuffled in place; with ``block`` (a block id per vertex)
+    a copy grouped by ascending block id, in random order inside each block."""
+    rng.shuffle(stubs)
+    if block is None:
+        return stubs
+    key = block[stubs] * stubs.size + np.arange(stubs.size)  # block, position
+    key.sort()
+    return stubs[key % stubs.size]
+
+
+def _pair(stubs: np.ndarray, n: int, rng, block=None, seeded=None) -> np.ndarray:
+    """Pair a stub multiset into simple edges ``(lo, hi)``, after the
+    ``seeded`` ones; with ``block`` (a block id per vertex) only inside
+    blocks.  What ``_place`` and ``_swap_repair`` (at most 10 * |edges| swap
+    candidates) leave is reshuffled into the next round, until none is left
+    or three rounds place nothing; the rest is dropped."""
+    stubs = _shuffle(stubs, block, rng)
+    # Each placement adds one edge; ``codes[:m]`` are the sorted edge codes.
+    m = 0 if seeded is None else len(seeded)
+    edges = np.empty((m + stubs.size // 2, 2), dtype=np.int64)
+    codes = np.empty(len(edges), dtype=np.int64)
+    if m:
+        edges[:m] = seeded
+        _encode(edges, m, n, codes)
+    budget = 10 * max(1, stubs.size // 2)
     stalls = 0
-    while pending.size > 0 and stalls < 3:
-        before = pending.size
-        rng.shuffle(pending)
-        conflicts = []
-        for i in range(0, pending.size, 2):
-            u = int(pending[i])
-            v = int(pending[i + 1])
-            if u == v:
-                conflicts.extend((u, v))
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e in store:
-                conflicts.extend((u, v))
-            else:
-                store.add(e)
-        unplaced = []
-        for i in range(0, len(conflicts), 2):
-            u, v = conflicts[i], conflicts[i + 1]
-            if budget > 0:
-                placed, used = _try_swap_repair(u, v, store, rng, budget)
-                budget -= used
-                if placed:
-                    continue
-            unplaced.extend((u, v))
-        pending = np.array(unplaced, dtype=np.int64)
-        stalls = stalls + 1 if pending.size == before else 0
+    while stubs.size and stalls < 3:
+        pending = stubs.size
+        m, stubs, u, v = _place(stubs, block, edges, codes, m, n)
+        if not u.size:
+            break  # what is left is one odd stub per block
+        if budget > 0:
+            m, u, v, budget = _swap_repair(u, v, edges, codes, m, n, block, rng, budget)
+        stubs = _shuffle(np.concatenate((stubs, u, v)), block, rng)
+        stalls = stalls + 1 if stubs.size == pending else 0
+    return edges[:m]
+
+
+def _place(stubs, block, edges, codes, m, n):
+    """Pair ``stubs`` by reshaping (a block's odd last stub is kept out) and
+    place each pair that is no self-loop, present edge or repeat.  Returns the
+    edge count, the stubs kept out and the other pairs as ``(lo, hi)``."""
+    counts = np.bincount(block[stubs]) if block is not None else np.array([stubs.size])
+    odd = np.cumsum(counts)[counts % 2 == 1] - 1
+    pairs = np.delete(stubs, odd).reshape(-1, 2)
+    code = np.sort(_codes(pairs[:, 0], pairs[:, 1], n))
+    lo, hi = np.divmod(code, n)
+    fresh = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=fresh[1:])
+    fresh &= (lo != hi) & ~_isin_sorted(code, codes[:m])
+    placed = int(np.count_nonzero(fresh))
+    edges[m:m + placed, 0], edges[m:m + placed, 1] = lo[fresh], hi[fresh]
+    codes[m:m + placed] = code[fresh]
+    codes[:m + placed].sort(kind="stable")  # merges two sorted runs
+    return m + placed, stubs[odd], lo[~fresh], hi[~fresh]
+
+
+def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
+    """Place the stub pairs ``(u[i], v[i])`` by batched double-edge swaps.
+
+    Each round every pair draws random oriented edges ``(x, y)`` present at
+    the start (in its block) and proposes the first it can rewire into
+    ``(u, x)`` and ``(v, y)``, or in its last round hop: rewire into
+    ``(u, x)`` alone and stay as ``(y, v)``, passing a hub's stub on.  A
+    round applies proposals that rewire each edge once and add distinct
+    edges.  Returns the edge count, the unplaced pairs and the budget left.
+    """
+    present = codes[:m]  # a rewired edge's code stays in it until the end
+    if block is None:
+        first, count = np.zeros_like(u), np.full_like(u, m)
+    else:  # the edges of the pairs' blocks, sorted by block
+        sorted_block = block[edges[:m, 0]]
+        by_block = np.flatnonzero(np.isin(sorted_block, block[u]))
+        by_block = by_block[np.argsort(sorted_block[by_block])]
+        sorted_block = sorted_block[by_block]
+        first = np.searchsorted(sorted_block, block[u])
+        count = np.searchsorted(sorted_block, block[u], side="right") - first
+    swapped = np.empty(2 * u.size, dtype=np.int64)  # codes of the new edges
+    s = 0
+    placed = count == 0  # a pair with no edge to swap with never draws
+    tries = 1
+    while tries <= _MAX_TRIES:
+        owner = np.repeat(np.flatnonzero(~placed)[:budget // tries], tries)
+        if not owner.size:
+            break
+        budget -= owner.size
+        pick = (rng.random(owner.size) * (2 * count[owner])).astype(np.int64)
+        j = first[owner] + (pick >> 1)
+        if block is not None:
+            j = by_block[j]
+        x, y = edges[j, pick & 1], edges[j, 1 - (pick & 1)]
+        c1, c2 = _codes(u[owner], x, n), _codes(v[owner], y, n)
+        fits1 = (u[owner] != x) & ~_isin_sorted(c1, present, swapped[:s])
+        fits2 = (v[owner] != y) & ~_isin_sorted(c2, present, swapped[:s])
+        full = fits1 & fits2 & (c1 != c2)
+        f = np.flatnonzero(full | (fits1 | fits2) & (tries == _MAX_TRIES))
+        f = f[np.unique(owner[f], return_index=True)[1]]  # a pair's first valid
+        f = f[np.unique(j[f], return_index=True)[1]]  # each edge rewired once
+        # A hop rewires edge j alone; -1 - i stands for "no second edge".
+        put = np.where(fits1[f], c1[f], c2[f])
+        add = np.where(full[f], c2[f], -1 - np.arange(f.size))
+        keep = np.zeros(2 * f.size, dtype=bool)
+        keep[np.unique(np.concatenate((put, add)), return_index=True)[1]] = True
+        keep = keep.reshape(2, -1).all(axis=0)  # every new edge distinct
+        f, put, add = f[keep], put[keep], add[keep][full[f[keep]]]
+        edges[j[f], 0], edges[j[f], 1] = np.divmod(put, n)
+        edges[m:m + add.size, 0], edges[m:m + add.size, 1] = np.divmod(add, n)
+        m += add.size
+        swapped[s:s + put.size + add.size] = np.concatenate((put, add))
+        s += put.size + add.size
+        swapped[:s].sort(kind="stable")  # merges two sorted runs
+        placed[owner[f[full[f]]]] = True
+        hop = f[~full[f]]  # stays unplaced as the pair of the stub it displaced
+        r, by_u = owner[hop], fits1[hop]
+        u[r], v[r] = np.where(by_u, y[hop], u[r]), np.where(by_u, v[r], x[hop])
+        tries *= 2
+    if s:
+        _encode(edges, m, n, codes)
+    return m, u[~placed | (count == 0)], v[~placed | (count == 0)], budget
 
 
 def _check_sequence(degrees: np.ndarray):
@@ -240,97 +279,60 @@ def _check_sequence(degrees: np.ndarray):
         )
 
 
-def _generate_model_a(degrees, rng) -> list:
-    store = _EdgeStore()
-    stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
-    _pair_stubs(stubs, store, rng)
-    return store.items
-
-
-def _generate_model_b(degrees, rng, block_size: int) -> list:
-    """Pair stubs only inside vertex blocks.
-
-    Blocks are built from a random vertex order with target size
-    ``block_size`` but are extended until every member's degree is realizable
-    inside the block with slack (enough distinct partners and enough partner
-    stubs); otherwise hubs would be clipped and the degree distribution
-    destroyed.
-    """
+def _blocks(degrees: np.ndarray, rng, block_size: int) -> np.ndarray:
+    """Model B's block id of every vertex: runs of a random vertex order of
+    ``block_size`` vertices, extended until every member's degree is
+    realizable inside the block with slack (enough distinct partners and
+    partner stubs); otherwise hubs would be clipped."""
     margin = 2.5  # partner slack per hub; tight blocks defeat edge-swap repair
     n = degrees.size
     order = rng.permutation(n)
     # Start at the highest-degree vertex so the dominant hub always heads a
     # block that keeps extending until its degree is realizable inside it.
-    top = int(np.argmax(degrees[order]))
-    order = np.roll(order, -top)
-
-    blocks = []
-    current = []
-    cur_sum = 0
-    cur_max = 0
-    for v in order:
-        current.append(int(v))
-        d = int(degrees[v])
-        cur_sum += d
-        cur_max = max(cur_max, d)
-        feasible = (
-            len(current) >= block_size
-            and len(current) > margin * cur_max
-            and cur_sum - cur_max >= margin * cur_max
-        )
-        if feasible:
-            blocks.append(current)
-            current, cur_sum, cur_max = [], 0, 0
-    if current:
-        # Infeasible tail: fold it into the largest closed block, which has
-        # the best chance of absorbing any remaining high-degree vertex.
-        if blocks:
-            max(blocks, key=len).extend(current)
-        else:
-            blocks.append(current)
-
-    # Blocks share no vertices, so their edge sets are disjoint.
-    edges = []
-    for block in blocks:
-        store = _EdgeStore()
-        members = np.array(block, dtype=np.int64)
-        stubs = np.repeat(members, degrees[members])
-        _pair_stubs(stubs, store, rng)
-        edges += store.items
-    return edges
+    order = np.roll(order, -int(np.argmax(degrees[order])))
+    sizes = []
+    size = total = peak = slack = 0
+    for d in degrees[order].tolist():
+        size += 1
+        total += d
+        if d > peak:
+            peak, slack = d, margin * d
+        if size >= block_size and size > slack and total - peak >= slack:
+            sizes.append(size)
+            size = total = peak = slack = 0
+    # Infeasible tail: fold it into the largest closed block, which has the
+    # best chance of absorbing any remaining high-degree vertex.
+    block = np.full(n, int(np.argmax(sizes)) if sizes else 0)
+    block[order[:n - size]] = np.repeat(np.arange(len(sizes)), sizes)
+    return block
 
 
-def _generate_kalisky(degrees, rng) -> list:
+def _generate_kalisky(degrees: np.ndarray, rng) -> np.ndarray:
     """Wire hubs-first, building the network outward from its core.
 
-    Vertices are placed in descending degree order.  Each arriving vertex
-    spends one stub on a random open stub of the already-placed vertices
-    (probability proportional to open stub count, which favors the hubs) and
-    pools the rest, so the whole positive-degree set joins one hub-centered
-    component.  The pooled stubs are then paired globally.
+    Vertices arrive in descending degree order.  Each spends one stub on a
+    random open stub of the placed vertices (which favors the hubs) and pools
+    the rest, so all positive-degree vertices join one hub-centered
+    component; the pool is then paired globally around those edges.
     """
-    order = np.argsort(-degrees, kind="stable")
-    store = _EdgeStore()
+    order = np.argsort(-degrees, kind="stable")[:np.count_nonzero(degrees)]
+    draws = rng.random(order.size).tolist()
     open_stubs = []  # vertex id repeated once per open stub
-    for v in order:
-        v = int(v)
-        d = int(degrees[v])
-        if d == 0:
-            continue
-        made = 0
+    ends = []  # attachment edges, flat: u0, v0, u1, v1, ...
+    for v, d, r in zip(order.tolist(), degrees[order].tolist(), draws):
         if open_stubs:
             # v is not yet in the pool, so the draw cannot self-loop and the
             # edge cannot already exist.
-            pos = int(rng.integers(len(open_stubs)))
-            u = open_stubs[pos]
+            pos = int(r * len(open_stubs))
+            ends += (open_stubs[pos], v)
             open_stubs[pos] = open_stubs[-1]
-            open_stubs.pop()
-            store.add((u, v) if u < v else (v, u))
-            made = 1
-        open_stubs.extend([v] * (d - made))
-    if open_stubs:
-        _pair_stubs(np.array(open_stubs, dtype=np.int64), store, rng)
-    return store.items
+            del open_stubs[-1]
+            d -= 1
+        if d:
+            open_stubs += [v] * d
+    attached = np.sort(np.array(ends, dtype=np.int64).reshape(-1, 2), axis=1)
+    stubs = np.array(open_stubs, dtype=np.int64)
+    return _pair(stubs, degrees.size, rng, seeded=attached)
 
 
 def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
@@ -347,16 +349,13 @@ def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
     model = Model(model)
     rng = np.random.default_rng(seed)
-    if model is Model.A:
-        edges = _generate_model_a(degrees, rng)
-    elif model is Model.B:
-        edges = _generate_model_b(degrees, rng, block_size)
-    else:
+    if model is Model.KALISKY:
         edges = _generate_kalisky(degrees, rng)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
-    )
-    return Graph.from_edges(degrees.size, flat)
+    else:
+        block = _blocks(degrees, rng, block_size) if model is Model.B else None
+        stubs = np.repeat(np.arange(degrees.size), degrees)
+        edges = _pair(stubs, degrees.size, rng, block)
+    return Graph.from_edges(degrees.size, edges)
 
 
 @dataclass(frozen=True)

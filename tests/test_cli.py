@@ -210,7 +210,7 @@ class TestExperimentCommand:
         assert [line.split(",")[-1] for line in lines[1:3]] == [
             "IMPOSSIBLE_SEQUENCE"] * 2
         assert lines[3:] == [
-            f"summary,{m},,100,5000.0,,,,,1884.1251364739578,,,,,ALL_CELLS_FAILED"
+            f"summary,{m},,100,5000.0,,,,,1884.1251364739578,,,,,,ALL_CELLS_FAILED"
             for m in ("A", "B")
         ]
 

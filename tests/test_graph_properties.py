@@ -1,11 +1,12 @@
 """Property tests of the array-backed graph core: canonical edges, the CSR
-adjacency, derived degrees and components, edge-list I/O, and the traversal
-metrics against networkx."""
+adjacency, derived degrees and components, edge-list I/O, the traversal
+metrics against networkx, and stub pairing under every model."""
 
 import itertools
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from ffparadox.metrics import (
     ff_total_adjacency,
     global_efficiency,
 )
-from ffparadox.netgen import Graph, read_edge_list, write_edge_list
+from ffparadox import netgen
+from ffparadox.netgen import (
+    Graph,
+    Model,
+    drop_report,
+    generate,
+    read_edge_list,
+    write_edge_list,
+)
 
 # The first scipy call of a process can exceed hypothesis's default deadline.
 no_deadline = settings(deadline=None)
@@ -170,3 +179,55 @@ def test_injected_duplicate_or_self_loop_names_its_line(case, data):
             fh.writelines(f"{a} {b}\n" for a, b in edges)
         with pytest.raises(ValueError, match=f"^line {line}: {re.escape(message)}$"):
             read_edge_list(path)
+
+
+@st.composite
+def degree_sequences(draw, max_n=40):
+    """A degree sequence with an even sum and every degree below n."""
+    n = draw(st.integers(1, max_n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    if sum(seq) % 2:
+        seq[seq.index(max(seq))] -= 1
+    return np.array(seq, dtype=np.int64)
+
+
+@no_deadline
+@given(
+    degree_sequences(),
+    st.sampled_from(list(Model)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+)
+def test_generate_realizes_a_simple_subgraph_of_the_target(
+    seq, model, seed, block_size
+):
+    g = generate(seq, model, seed, block_size=block_size)
+    assert np.array_equal(Graph.from_edges(g.n, g.edges).edges, g.edges)
+    assert (g.degrees() <= seq).all()
+    assert drop_report(g, seq).total == int(seq.sum()) - 2 * len(g.edges)
+    again = generate(seq, model, seed, block_size=block_size)
+    assert np.array_equal(again.edges, g.edges)
+
+
+@no_deadline
+@given(st.integers(2, 60), st.sampled_from(list(Model)), st.integers(0, 2**32 - 1))
+def test_pairing_work_is_bounded_when_stubs_cannot_pair(n, model, seed):
+    # All stubs sit on vertices 0 and 1, so one edge is all a simple graph
+    # allows; pairing must give up within its swap budget and stall limit:
+    # the pending stubs shrink at most once, so at most 3 + 1 + 3 rounds run.
+    seq = np.zeros(n, dtype=np.int64)
+    seq[:2] = n - 1
+    budgets = []
+    repair = netgen._swap_repair
+
+    def counted(*args):
+        out = repair(*args)
+        budgets.append((args[-1], out[-1]))
+        return out
+
+    with mock.patch.object(netgen, "_swap_repair", counted):
+        g = generate(seq, model, seed)
+    assert g.edges.tolist() in ([], [[0, 1]])
+    assert len(budgets) <= 7
+    assert all(left >= 0 for _, left in budgets)
+    assert sum(start - left for start, left in budgets) <= 10 * (n - 1)

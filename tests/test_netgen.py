@@ -136,6 +136,17 @@ class TestGenerateContracts:
         comps_b = len(metrics.components(generate(seq, Model.B, seed=9)))
         assert comps_b > comps_a
 
+    def test_model_b_fragments_more_than_a_over_seeds(self):
+        seq = powerlaw_sequence(2000, 50, sample_seed=6)
+        mean_components = {
+            model: np.mean([
+                len(metrics.components(generate(seq, model, seed=seed)))
+                for seed in range(10)
+            ])
+            for model in (Model.A, Model.B)
+        }
+        assert mean_components[Model.B] > mean_components[Model.A]
+
     def test_model_b_block_size_configurable(self):
         seq = powerlaw_sequence(2000, 20, sample_seed=7)
         small = generate(seq, Model.B, seed=10, block_size=16)
