@@ -1,23 +1,21 @@
 """Realize degree sequences as simple undirected graphs.
 
-Three generator families share one array stub-pairing routine but differ
-in how stubs are pooled, which changes the wiring style while keeping the
-degree sequence (almost) intact:
+All three generator families pair stubs with one array routine, inside
+blocks given by a block id per vertex; their blocks and first edges set the
+wiring style while keeping the degree sequence (almost) intact:
 
-* Model A   - one global stub pool; classic configuration-model pairing.
-* Model B   - stubs pair only inside small vertex blocks (all blocks in the
-              same rounds), which fragments the graph into many components.
+* Model A   - one block; classic configuration-model pairing.
+* Model B   - small vertex blocks, all paired in the same rounds, which
+              fragments the graph into many components.
 * Kalisky   - vertices are placed hubs-first, each attaching to an open stub
-              of the placed ones; leftovers are paired globally.
+              of the placed ones; leftovers are paired in one block.
 
-Pairing rounds pair shuffled stubs by reshaping and find self-loops and
-repeats from sorted edge codes ``lo * n + hi``; conflicting pairs are placed
-by batched double-edge swaps.  Stubs left unplaced within the repair budget
-are dropped and reported, never turned into loops or multi-edges.
-
-Every realization, and every graph read from an edge-list file, is a
-``Graph``: a canonical sorted edge array plus a CSR adjacency matrix, the one
-graph format that ``metrics`` and the edge-list I/O use.
+Pairing rounds group shuffled stubs by block, pair them by reshaping and find
+self-loops and repeats from sorted edge codes ``lo * n + hi``; conflicts are
+placed by batched double-edge swaps inside their block.  Stubs still unplaced
+when pairing stalls are dropped and reported, never turned into loops or
+multi-edges.  Sorts whose tie order can reach a graph are stable, so a seed
+gives the same graph on every CPU.  Realizations and files read are ``Graph``s.
 """
 
 from __future__ import annotations
@@ -143,41 +141,49 @@ def _encode(edges: np.ndarray, m: int, n: int, codes: np.ndarray):
     codes[:m].sort()
 
 
-def _shuffle(stubs: np.ndarray, block, rng) -> np.ndarray:
-    """``stubs``, shuffled in place; with ``block`` (a block id per vertex)
-    a copy grouped by ascending block id, in random order inside each block."""
+def _shuffle(stubs: np.ndarray, block: np.ndarray, rng) -> np.ndarray:
+    """``stubs`` grouped by ascending block id (``block`` holds one per
+    vertex), in random order inside each block."""
     rng.shuffle(stubs)
-    if block is None:
-        return stubs
-    key = block[stubs] * stubs.size + np.arange(stubs.size)  # block, position
-    key.sort()
-    return stubs[key % stubs.size]
+    return stubs[np.argsort(block[stubs], kind="stable")]
 
 
-def _pair(stubs: np.ndarray, n: int, rng, block=None, seeded=None) -> np.ndarray:
-    """Pair a stub multiset into simple edges ``(lo, hi)``, after the
-    ``seeded`` ones; with ``block`` (a block id per vertex) only inside
-    blocks.  What ``_place`` and ``_swap_repair`` (at most 10 * |edges| swap
-    candidates) leave is reshuffled into the next round, until none is left
-    or three rounds place nothing; the rest is dropped."""
-    stubs = _shuffle(stubs, block, rng)
+def _halves(stubs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``stubs`` sorted by block id, then vertex, and ordered so that ``_place``
+    pairs each block's first half against its second half; an odd block's
+    first half has one stub more, the one that ``_place`` keeps out."""
+    stubs = stubs[np.lexsort((stubs, block[stubs]))]
+    counts = np.bincount(block[stubs])
+    start = np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(stubs.size) - start
+    half = np.repeat((counts + 1) // 2, counts)
+    return stubs[start + slot // 2 + slot % 2 * half]
+
+
+def _pair(stubs: np.ndarray, n: int, rng, block: np.ndarray, seeded: np.ndarray):
+    """Pair a stub multiset into simple edges ``(lo, hi)`` inside blocks
+    (``block`` holds a block id per vertex), after the ``seeded`` edges.
+    What ``_place`` and ``_swap_repair`` (at most 10 * |edges| swap
+    candidates) leave is reshuffled, or after a stall arranged by
+    ``_halves``, until none is left or three rounds in a row stall."""
     # Each placement adds one edge; ``codes[:m]`` are the sorted edge codes.
-    m = 0 if seeded is None else len(seeded)
+    m = len(seeded)
     edges = np.empty((m + stubs.size // 2, 2), dtype=np.int64)
     codes = np.empty(len(edges), dtype=np.int64)
-    if m:
-        edges[:m] = seeded
-        _encode(edges, m, n, codes)
+    edges[:m] = seeded
+    _encode(edges, m, n, codes)
     budget = 10 * max(1, stubs.size // 2)
     stalls = 0
     while stubs.size and stalls < 3:
+        # Random rounds can keep pairing a vertex's stubs with each other.
+        stubs = _halves(stubs, block) if stalls else _shuffle(stubs, block, rng)
         pending = stubs.size
         m, stubs, u, v = _place(stubs, block, edges, codes, m, n)
         if not u.size:
             break  # what is left is one odd stub per block
         if budget > 0:
             m, u, v, budget = _swap_repair(u, v, edges, codes, m, n, block, rng, budget)
-        stubs = _shuffle(np.concatenate((stubs, u, v)), block, rng)
+        stubs = np.concatenate((stubs, u, v))
         stalls = stalls + 1 if stubs.size == pending else 0
     return edges[:m]
 
@@ -186,7 +192,7 @@ def _place(stubs, block, edges, codes, m, n):
     """Pair ``stubs`` by reshaping (a block's odd last stub is kept out) and
     place each pair that is no self-loop, present edge or repeat.  Returns the
     edge count, the stubs kept out and the other pairs as ``(lo, hi)``."""
-    counts = np.bincount(block[stubs]) if block is not None else np.array([stubs.size])
+    counts = np.bincount(block[stubs])
     odd = np.cumsum(counts)[counts % 2 == 1] - 1
     pairs = np.delete(stubs, odd).reshape(-1, 2)
     code = np.sort(_codes(pairs[:, 0], pairs[:, 1], n))
@@ -205,22 +211,18 @@ def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
     """Place the stub pairs ``(u[i], v[i])`` by batched double-edge swaps.
 
     Each round every pair draws random oriented edges ``(x, y)`` present at
-    the start (in its block) and proposes the first it can rewire into
+    the start in its block and proposes the first it can rewire into
     ``(u, x)`` and ``(v, y)``, or in its last round hop: rewire into
     ``(u, x)`` alone and stay as ``(y, v)``, passing a hub's stub on.  A
     round applies proposals that rewire each edge once and add distinct
     edges.  Returns the edge count, the unplaced pairs and the budget left.
     """
     present = codes[:m]  # a rewired edge's code stays in it until the end
-    if block is None:
-        first, count = np.zeros_like(u), np.full_like(u, m)
-    else:  # the edges of the pairs' blocks, sorted by block
-        sorted_block = block[edges[:m, 0]]
-        by_block = np.flatnonzero(np.isin(sorted_block, block[u]))
-        by_block = by_block[np.argsort(sorted_block[by_block])]
-        sorted_block = sorted_block[by_block]
-        first = np.searchsorted(sorted_block, block[u])
-        count = np.searchsorted(sorted_block, block[u], side="right") - first
+    edge_block = block[edges[:m, 0]]
+    by_block = np.argsort(edge_block, kind="stable")  # ties in slot order
+    edge_block = edge_block[by_block]
+    first = np.searchsorted(edge_block, block[u])
+    count = np.searchsorted(edge_block, block[u], side="right") - first
     swapped = np.empty(2 * u.size, dtype=np.int64)  # codes of the new edges
     s = 0
     placed = count == 0  # a pair with no edge to swap with never draws
@@ -231,9 +233,7 @@ def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
             break
         budget -= owner.size
         pick = (rng.random(owner.size) * (2 * count[owner])).astype(np.int64)
-        j = first[owner] + (pick >> 1)
-        if block is not None:
-            j = by_block[j]
+        j = by_block[first[owner] + (pick >> 1)]
         x, y = edges[j, pick & 1], edges[j, 1 - (pick & 1)]
         c1, c2 = _codes(u[owner], x, n), _codes(v[owner], y, n)
         fits1 = (u[owner] != x) & ~_isin_sorted(c1, present, swapped[:s])
@@ -301,20 +301,19 @@ def _blocks(degrees: np.ndarray, rng, block_size: int) -> np.ndarray:
             sizes.append(size)
             size = total = peak = slack = 0
     # Infeasible tail: fold it into the largest closed block, which has the
-    # best chance of absorbing any remaining high-degree vertex.
-    block = np.full(n, int(np.argmax(sizes)) if sizes else 0)
+    # best chance of absorbing any remaining high-degree vertex.  Small ids
+    # keep stable sorts by block id radix sorts.
+    dtype = np.min_scalar_type(max(len(sizes) - 1, 0))
+    block = np.full(n, int(np.argmax(sizes)) if sizes else 0, dtype=dtype)
     block[order[:n - size]] = np.repeat(np.arange(len(sizes)), sizes)
     return block
 
 
-def _generate_kalisky(degrees: np.ndarray, rng) -> np.ndarray:
-    """Wire hubs-first, building the network outward from its core.
-
-    Vertices arrive in descending degree order.  Each spends one stub on a
-    random open stub of the placed vertices (which favors the hubs) and pools
-    the rest, so all positive-degree vertices join one hub-centered
-    component; the pool is then paired globally around those edges.
-    """
+def _attach_hubs_first(degrees: np.ndarray, rng):
+    """KALISKY's attachment edges ``(lo, hi)`` and open stubs: vertices arrive
+    in descending degree order, and each spends one stub on a random open stub
+    of the placed vertices (which favors the hubs) and pools the rest, so all
+    positive-degree vertices join one hub-centered component."""
     order = np.argsort(-degrees, kind="stable")[:np.count_nonzero(degrees)]
     draws = rng.random(order.size).tolist()
     open_stubs = []  # vertex id repeated once per open stub
@@ -331,8 +330,7 @@ def _generate_kalisky(degrees: np.ndarray, rng) -> np.ndarray:
         if d:
             open_stubs += [v] * d
     attached = np.sort(np.array(ends, dtype=np.int64).reshape(-1, 2), axis=1)
-    stubs = np.array(open_stubs, dtype=np.int64)
-    return _pair(stubs, degrees.size, rng, seeded=attached)
+    return attached, np.array(open_stubs, dtype=np.int64)
 
 
 def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
@@ -340,22 +338,23 @@ def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
 
     The degree sum must already be even (see ``make_graphical``).  The
     realized degree of each vertex never exceeds its target; unpairable
-    stubs are dropped (see ``drop_report``).  Deterministic per seed.
-    ``block_size`` (at least 1) is model B's target block size.
+    stubs are dropped (see ``drop_report``).  Deterministic per seed, on
+    every CPU.  ``block_size`` (at least 1) is model B's target block size.
     """
     degrees = np.asarray(seq, dtype=np.int64)
     _check_sequence(degrees)
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
     model = Model(model)
+    n = degrees.size
     rng = np.random.default_rng(seed)
     if model is Model.KALISKY:
-        edges = _generate_kalisky(degrees, rng)
+        seeded, stubs = _attach_hubs_first(degrees, rng)
     else:
-        block = _blocks(degrees, rng, block_size) if model is Model.B else None
-        stubs = np.repeat(np.arange(degrees.size), degrees)
-        edges = _pair(stubs, degrees.size, rng, block)
-    return Graph.from_edges(degrees.size, edges)
+        seeded, stubs = np.empty((0, 2), dtype=np.int64), np.repeat(np.arange(n), degrees)
+    one_block = np.zeros(n, dtype=np.uint8)
+    block = _blocks(degrees, rng, block_size) if model is Model.B else one_block
+    return Graph.from_edges(n, _pair(stubs, n, rng, block, seeded))
 
 
 @dataclass(frozen=True)

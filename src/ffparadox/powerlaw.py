@@ -13,7 +13,7 @@ precision catastrophically near the singularities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -199,12 +199,25 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
         raise DivergentError(
             "mean or variance diverges for alpha <= 3 with unbounded k_max"
         )
-    c = normalization_constant(spec)
+    try:
+        result = _assemble(normalization_constant(spec), *_moments(spec))
+        finite = all(map(math.isfinite, astuple(result)[:-1]))  # all but branch
+    except (OverflowError, ZeroDivisionError):  # a float power or ratio overflowed
+        finite = False
+    if not finite:
+        raise DivergentError(
+            f"moments not finite in floating point for alpha={spec.alpha}, "
+            f"k_min={spec.k_min}, k_max={spec.k_max}"
+        )
+    return result
+
+
+def _moments(spec: PowerLawSpec):
+    """(mean, second moment, branch) of a spec with a non-degenerate support."""
     # The 0/0 cancellations only occur for finite support; with unbounded
     # k_max and alpha > 3 the general forms are regular everywhere.
     if not spec.is_infinite and abs(spec.alpha - 2.0) <= SWITCH_EPS:
-        mean, m2 = _moments_at_alpha2(spec.k_min, spec.k_max)
-        return _assemble(c, mean, m2, Branch.LIMIT_ALPHA_2)
+        return (*_moments_at_alpha2(spec.k_min, spec.k_max), Branch.LIMIT_ALPHA_2)
     if not spec.is_infinite and abs(spec.alpha - 3.0) <= SWITCH_EPS:
         # The first moment is regular at alpha = 3; keep the general form for
         # it so nearby alphas stay exact, and take the limit only for <k^2>.
@@ -212,9 +225,8 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
         d2 = spec.k_max ** (2.0 - spec.alpha) - spec.k_min ** (2.0 - spec.alpha)
         mean = ((spec.alpha - 1.0) / (spec.alpha - 2.0)) * (d2 / d1)
         _, m2 = _moments_at_alpha3(spec.k_min, spec.k_max)
-        return _assemble(c, mean, m2, Branch.LIMIT_ALPHA_3)
-    mean, m2 = _moments_general(spec.alpha, spec.k_min, spec.k_max)
-    return _assemble(c, mean, m2, Branch.GENERAL)
+        return mean, m2, Branch.LIMIT_ALPHA_3
+    return (*_moments_general(spec.alpha, spec.k_min, spec.k_max), Branch.GENERAL)
 
 
 def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:

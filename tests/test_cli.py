@@ -64,6 +64,17 @@ class TestPredictCommand:
         assert code == 2
         assert "diverge" in err
 
+    @pytest.mark.parametrize(
+        "alpha, k_max", [("1.2", "1e200"), ("3", "1e200"), ("1.01", "1e200"),
+                         ("2", "1.7e308")]
+    )
+    def test_float_overflow_is_a_domain_error(self, capsys, alpha, k_max):
+        code, out, err = run(capsys, "predict", "--alpha", alpha, "--kmax", k_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_grid_cardinality_and_header(self, capsys):

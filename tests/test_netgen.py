@@ -1,5 +1,7 @@
 """Tests for degree-sequence realization under the three generator models."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,13 @@ class TestGenerateSmall:
             g = generate([2, 2, 2], model, seed=seed)
             assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_two_vertex_pair_found_after_stalls(self, model):
+        # A random round can pair (0, 0) and (1, 1) and place nothing, several
+        # times in a row; the one realizable edge must still be placed.
+        for seed in range(300):
+            assert generate([2, 2, 0], model, seed=seed).edges.tolist() == [[0, 1]]
+
     def test_impossible_degree(self):
         with pytest.raises(ImpossibleSequenceError):
             generate([3, 1], Model.A, seed=0)
@@ -114,6 +123,26 @@ class TestGenerateContracts:
         assert np.array_equal(a.edges, b.edges)
         c = generate(seq, model, seed=12)
         assert not np.array_equal(a.edges, c.edges)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_graph_does_not_depend_on_unstable_sort_ties(self, model):
+        # An unstable sort may order ties in any way (numpy's order depends on
+        # the CPU); reversing the ties of every 1-D non-stable np.argsort call
+        # must leave each graph unchanged.
+        argsort = np.argsort
+
+        def ties_reversed(a, axis=-1, kind=None, order=None, **kwargs):
+            a = np.asarray(a)
+            if kind in ("stable", "mergesort") or a.ndim != 1 or order is not None:
+                return argsort(a, axis=axis, kind=kind, order=order, **kwargs)
+            return a.size - 1 - argsort(a[::-1], kind="stable")
+
+        seq = powerlaw_sequence(2000, 50, sample_seed=6)
+        for seed in range(4):
+            want = generate(seq, model, seed=seed).edges
+            with mock.patch.object(np, "argsort", ties_reversed):
+                got = generate(seq, model, seed=seed).edges
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_realization_rate_at_scale(self, model):

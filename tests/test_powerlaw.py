@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ffparadox.errors import DegenerateSupportError, DivergentError
+from ffparadox.errors import DegenerateSupportError, DivergentError, DomainError
 from ffparadox.powerlaw import (
     INFINITE,
     Branch,
@@ -196,6 +198,35 @@ class TestPredict:
             assert r.k_ff - r.mean_k == pytest.approx(r.var_to_mean, rel=1e-12)
             assert r.var_to_mean == r.variance / r.mean_k
             assert r.k_ff >= r.mean_k
+
+    @pytest.mark.parametrize("alpha, k_min, k_max", [
+        (1.2, 1.0, 1e200),
+        (3.0, 1.0, 1e200),
+        (1.01, 1.0, 1e200),
+        (2.0, 1.0, 1.7e308),
+        # k**(1 - alpha) rounds to 1 at both ends, so C divides by zero.
+        (1.0000000000000002, 4.0, 5.0),
+    ])
+    def test_non_finite_moments_are_divergent(self, alpha, k_min, k_max):
+        with pytest.raises(DivergentError, match="not finite"):
+            predict(PowerLawSpec(alpha, k_min, k_max))
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    st.floats(1.0, 6.0, exclude_min=True),
+    st.floats(1.0, 1e3),
+    st.floats(0.0, 1e308) | st.just(INFINITE),
+)
+def test_predict_is_finite_or_a_domain_error(alpha, k_min, width):
+    try:
+        r = predict(PowerLawSpec(alpha, k_min, k_min + width))
+    except DomainError:
+        return
+    assert r.branch is Branch.DEGENERATE or math.isfinite(r.c)
+    fields = (r.mean_k, r.second_moment, r.variance, r.var_to_mean, r.k_ff)
+    assert all(map(math.isfinite, fields))
+    assert r.k_ff >= r.mean_k
 
 
 class TestSingularityContinuity:
