@@ -5,23 +5,30 @@ structural metrics (components, global efficiency, betweenness-based central
 point dominance) operate on the graph's CSR adjacency matrix,
 ``Graph.adjacency``, through ``scipy.sparse`` and ``scipy.sparse.csgraph``.
 
-Efficiency and betweenness share one exact all-sources traversal engine:
-a level-synchronous breadth-first search from batches of sources at once,
-one sparse matrix product per level, run separately on each connected
-component; small components share batches, since their adjacency is
-block-diagonal.  Each level is kept as the flat indices of the (vertex,
-source) entries it newly reached, so no step scans a dense per-level mask.
-Work grows with the sum of c(c - 1) over component sizes c, not with
-n(n - 1), so isolated vertices and many small components cost almost
-nothing; both metrics still normalize over all n vertices.  Past a fixed
-limit on that sum, ``TooManyPairsError`` is raised before any traversal.
-The efficiency sum of 1/d(i, j) is the sum over levels k of |level k| / k;
-betweenness accumulates Brandes' dependencies back down the same level
-index lists.
+Efficiency and betweenness share one layer of traversal windows: each
+connected component of two or more vertices is traversed on its own, small
+components packed together (their adjacency is block-diagonal, so no path
+crosses), with sources taken in batches.  Work grows with the sum of
+c(c - 1) over component sizes c, not with n(n - 1), so isolated vertices
+and many small components cost almost nothing; both metrics still
+normalize over all n vertices.  Past a fixed limit on that sum,
+``TooManyPairsError`` is raised before any traversal.
+
+Efficiency counts breadth-first levels bit-parallel (multi-source BFS, Then
+et al., VLDB 2014): each vertex holds one bit per source of a batch in
+``uint64`` words, a level is one OR over every vertex's neighbours' words,
+and ``np.bitwise_count`` gives its size.  The exact integer counts N_k of
+ordered pairs at hop distance k then give the sum of 1/d(i, j) as the sum
+of N_k / k, so the result does not depend on vertex labels, windows or
+batches.  Betweenness runs a level-synchronous search with path counts,
+one sparse matrix product per level, keeping each level as the flat
+indices of the (vertex, source) entries it newly reached, and accumulates
+Brandes' dependencies back down those index lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +38,15 @@ from .errors import AllIsolatedError, TooManyPairsError
 from .netgen import Graph
 
 # Sources per batch of the all-sources traversal, and the most vertices that
-# small components packed together may have: each block is window size x
-# batch.
+# small components packed together may have: betweenness's blocks are window
+# size x batch floats, efficiency's window size x 4 uint64 words.
 _BATCH = 256
 # Limit on connected ordered vertex pairs, sum of c(c - 1) over component
 # sizes c, which traversal time grows with: ten times the criterion-9 graphs'
 # ~10^8 (n = 10^4) and far above the benchmark's ~1.4 x 10^6 (n = 1200).  One
 # batch on a single component at the limit (31 623 vertices, mean degree 4)
-# peaks at about 340 MB of arrays for efficiency and 470 MB for betweenness.
+# peaks at about 11 MB of arrays for efficiency and 470 MB for betweenness
+# (tracemalloc).
 _MAX_PAIRS = 10**9
 
 
@@ -123,22 +131,17 @@ def components(g: Graph) -> list[int]:
     return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
-def _traversals(g: Graph):
-    """Breadth-first search from every vertex, a window of components at a
-    time.
+def _batches(g: Graph):
+    """Source batches of an all-sources traversal, a window of components at
+    a time.
 
     Components of two or more vertices are permuted to the front.  Each one
     larger than ``_BATCH`` is a window of its own; runs of consecutive
     smaller ones are packed into windows of at most ``_BATCH`` vertices.
-    For each batch of sources in each window, yields:
-
-    * the window's vertex ids and its adjacency in local ids;
-    * the ``(lo, hi)`` spans of local ids of its components;
-    * a zeroed dense (size, batch) block for sparse products, which the
-      caller may write but must leave zeroed;
-    * the breadth-first levels: for each hop distance k from 0, the flat
-      indices into that block of the (vertex, source) entries first reached
-      at distance k, and their shortest-path counts.
+    For each batch of sources in each window, yields the window's vertex
+    ids, its adjacency in local ids, the ``(lo, hi)`` spans of local ids of
+    its components, and the batch's first source and size (its sources are
+    local vertices ``start`` to ``start + b - 1``).
     """
     _, labels = csgraph.connected_components(g.adjacency, directed=False)
     sizes = np.bincount(labels)
@@ -164,26 +167,9 @@ def _traversals(g: Graph):
     if parts:
         windows.append((lo, hi, parts))
     for lo, hi, parts in windows:
-        members, adj, size = order[lo:hi], permuted[lo:hi, lo:hi], hi - lo
-        buf = np.zeros(size * min(size, _BATCH))
-        for start in range(0, size, _BATCH):
-            b = min(_BATCH, size - start)
-            flat = buf[: size * b]
-            block = flat.reshape(size, b)
-            unseen = np.ones(size * b, dtype=bool)
-            # Source j is local vertex start + j: entry (start + j) * b + j.
-            idx = np.arange(start * b, (start + b) * b, b + 1)
-            sigma = np.ones(b)
-            levels = []
-            while idx.size:
-                unseen[idx] = False
-                levels.append((idx, sigma))
-                flat[idx] = sigma
-                paths = adj.dot(block).ravel()
-                flat[idx] = 0.0
-                idx = np.flatnonzero(np.logical_and(paths, unseen))
-                sigma = paths[idx]
-            yield members, adj, parts, block, levels
+        members, adj = order[lo:hi], permuted[lo:hi, lo:hi]
+        for start in range(0, hi - lo, _BATCH):
+            yield members, adj, parts, start, min(_BATCH, hi - lo - start)
 
 
 def global_efficiency(g: Graph) -> float:
@@ -191,18 +177,62 @@ def global_efficiency(g: Graph) -> float:
     n = g.n
     if n < 2:
         raise ValueError("global efficiency needs at least 2 vertices")
-    total = 0.0
-    for *_, levels in _traversals(g):
-        total += sum(idx.size / k for k, (idx, _) in enumerate(levels) if k)
+    # counts[k]: ordered pairs at hop distance k, exact integers.
+    counts = Counter()
+    for _, adj, _, start, b in _batches(g):
+        # Bit j of a vertex's words: source start + j has reached it.
+        j = np.arange(b, dtype=np.uint64)
+        frontier = np.zeros((adj.shape[0], -(-b // 64)), dtype=np.uint64)
+        frontier[start + j, j >> 6] = np.uint64(1) << (j & 63)
+        unseen = ~frontier
+        k = 0
+        while True:
+            # A vertex's next frontier is the OR of its neighbours' words.
+            # reduceat gives an empty row its start element, not 0: every
+            # row here has a neighbour, since singletons are permuted out of
+            # every window.
+            frontier = np.bitwise_or.reduceat(
+                frontier.take(adj.indices, axis=0), adj.indptr[:-1], axis=0
+            )
+            frontier &= unseen
+            reached = int(np.bitwise_count(frontier).sum())
+            if not reached:
+                break
+            unseen ^= frontier
+            k += 1
+            counts[k] += reached
+    total = sum(counts[k] / k for k in sorted(counts))
     return total / (n * (n - 1))
 
 
 def betweenness(g: Graph) -> np.ndarray:
     """Exact betweenness centrality (unordered-pair counting) of every vertex:
-    Brandes' dependencies flow back down each batch's breadth-first levels."""
+    Brandes' dependencies flow back down each batch's breadth-first levels.
+
+    The forward pass keeps each level as the flat indices into a dense
+    (size, batch) block of the (vertex, source) entries first reached at
+    that hop distance, with their shortest-path counts; the block holds
+    values only at the level being propagated, so one sparse product per
+    level spreads them.
+    """
     bc = np.zeros(g.n)
-    for members, adj, parts, block, levels in _traversals(g):
-        flat = block.ravel()
+    for members, adj, parts, start, b in _batches(g):
+        size = adj.shape[0]
+        flat = np.zeros(size * b)
+        block = flat.reshape(size, b)
+        unseen = np.ones(size * b, dtype=bool)
+        # Source j is local vertex start + j: entry (start + j) * b + j.
+        idx = np.arange(start * b, (start + b) * b, b + 1)
+        sigma = np.ones(b)
+        levels = []
+        while idx.size:
+            unseen[idx] = False
+            levels.append((idx, sigma))
+            flat[idx] = sigma
+            paths = adj.dot(block).ravel()
+            flat[idx] = 0.0
+            idx = np.flatnonzero(np.logical_and(paths, unseen))
+            sigma = paths[idx]
         delta = np.zeros(flat.size)
         # Stopping at level 2 leaves the sources' own dependency at zero.
         for lev in range(len(levels) - 1, 1, -1):

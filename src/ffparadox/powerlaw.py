@@ -81,6 +81,25 @@ class PredictionResult:
     branch: Branch
 
 
+def _support_powers(spec: PowerLawSpec):
+    """k_min**(1 - alpha) and k_max**(1 - alpha), the ends of the CDF's range.
+
+    For infinite k_max the second is 0.0, and the forms built on the pair
+    still hold because alpha > 1 keeps the integral convergent.  Raises
+    ``DegenerateSupportError`` when k_min < k_max but the two are the same
+    float (alpha within rounding of 1, or both powers underflowing), since
+    the density can then be neither normalized nor inverted.
+    """
+    e = 1.0 - spec.alpha
+    lo, hi = spec.k_min**e, spec.k_max**e
+    if lo == hi and not spec.is_degenerate:
+        raise DegenerateSupportError(
+            f"k**(1 - alpha) rounds to {lo!r} at both k_min={spec.k_min} and "
+            f"k_max={spec.k_max} for alpha={spec.alpha}"
+        )
+    return lo, hi
+
+
 def normalization_constant(spec: PowerLawSpec) -> float:
     """Constant C making the density integrate to one over [k_min, k_max].
 
@@ -91,11 +110,8 @@ def normalization_constant(spec: PowerLawSpec) -> float:
         raise DegenerateSupportError(
             "normalization constant undefined for k_min == k_max"
         )
-    # For infinite k_max the power term is 0.0 and the expression still holds
-    # because alpha > 1 keeps the integral convergent.
-    return (1.0 - spec.alpha) / (
-        spec.k_max ** (1.0 - spec.alpha) - spec.k_min ** (1.0 - spec.alpha)
-    )
+    lo, hi = _support_powers(spec)
+    return (1.0 - spec.alpha) / (hi - lo)
 
 
 def pdf(spec: PowerLawSpec, k):
@@ -115,10 +131,9 @@ def cdf(spec: PowerLawSpec, k):
     """
     if spec.is_degenerate:
         raise DegenerateSupportError("cdf undefined for k_min == k_max")
-    e = 1.0 - spec.alpha
-    lo = spec.k_min**e
-    hi = spec.k_max**e  # 0.0 when k_max is infinite
+    lo, hi = _support_powers(spec)
     k = np.asarray(k, dtype=float)
+    e = 1.0 - spec.alpha
     values = (np.power(np.clip(k, spec.k_min, spec.k_max), e) - lo) / (hi - lo)
     return float(values) if values.ndim == 0 else values
 
@@ -202,7 +217,9 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
     try:
         result = _assemble(normalization_constant(spec), *_moments(spec))
         finite = all(map(math.isfinite, astuple(result)[:-1]))  # all but branch
-    except (OverflowError, ZeroDivisionError):  # a float power or ratio overflowed
+    # A float power or ratio overflowed, or k**(1 - alpha) took one value
+    # over the whole support.
+    except (OverflowError, ZeroDivisionError, DegenerateSupportError):
         finite = False
     if not finite:
         raise DivergentError(
@@ -234,16 +251,16 @@ def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
 
     k = (k_min**(1-alpha) - u * (k_min**(1-alpha) - k_max**(1-alpha)))**(1/(1-alpha))
     with u uniform on [0, 1).  Works for unbounded k_max (alpha > 1 keeps the
-    distribution itself normalizable even when its moments diverge).
+    distribution itself normalizable even when its moments diverge).  A point
+    mass (k_min == k_max) gives k_min every time; a wider support on which
+    k**(1-alpha) is one float raises ``DegenerateSupportError``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    lo, hi = _support_powers(spec)
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    e = 1.0 - spec.alpha
-    lo = spec.k_min**e
-    hi = spec.k_max**e  # 0.0 when k_max is infinite
-    return (lo - u * (lo - hi)) ** (1.0 / e)
+    return (lo - u * (lo - hi)) ** (1.0 / (1.0 - spec.alpha))
 
 
 def round_degrees(spec: PowerLawSpec, values) -> np.ndarray:

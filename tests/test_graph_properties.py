@@ -5,6 +5,8 @@ metrics against networkx, and stub pairing under every model."""
 import itertools
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffparadox
 from ffparadox.metrics import (
     betweenness,
     components,
@@ -25,9 +28,12 @@ from ffparadox.netgen import (
     Model,
     drop_report,
     generate,
+    make_graphical,
     read_edge_list,
     write_edge_list,
 )
+from ffparadox.powerlaw import PowerLawSpec, sample_degrees
+from test_metrics import distance_histogram_efficiency
 
 # The first scipy call of a process can exceed hypothesis's default deadline.
 no_deadline = settings(deadline=None)
@@ -47,11 +53,11 @@ def edge_lists(draw, max_n=60):
 
 
 @st.composite
-def multi_component_graphs(draw):
+def multi_component_graphs(draw, max_block=12):
     """(n, edges) of a graph whose ids fall into several blocks with no edge
     between blocks; one-vertex blocks are isolated ids, and the ids are
     shuffled so no component is contiguous."""
-    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=6))
+    sizes = draw(st.lists(st.integers(1, max_block), min_size=2, max_size=6))
     n = sum(sizes)
     ids = draw(st.permutations(range(n)))
     edges, start = [], 0
@@ -135,6 +141,38 @@ def test_traversal_metrics_match_networkx(case):
     np.testing.assert_allclose(
         betweenness(g), [want[v] for v in range(n)], rtol=1e-9, atol=1e-9
     )
+
+
+@no_deadline
+@given(multi_component_graphs(max_block=70), st.data())
+def test_efficiency_is_the_exact_distance_histogram(case, data):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    value = global_efficiency(g)
+    assert value == distance_histogram_efficiency(g)
+    ids = data.draw(st.permutations(range(n)), label="relabelling")
+    relabelled = Graph.from_edges(n, [(ids[u], ids[v]) for u, v in edges])
+    assert global_efficiency(relabelled) == value
+
+
+def test_analyze_repeats_are_byte_identical(tmp_path):
+    # A fragmented model-B graph, run in two fresh interpreters with
+    # different hash seeds.
+    seq = make_graphical(sample_degrees(PowerLawSpec(2.0, 1.0, 40.0), 400, 3), seed=1)
+    path = tmp_path / "b.txt"
+    write_edge_list(generate(seq, Model.B, seed=2), str(path))
+    src = os.path.dirname(os.path.dirname(ffparadox.__file__))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "ffparadox.cli", "analyze", str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert b'"global_efficiency"' in outputs[0]
 
 
 @no_deadline

@@ -6,7 +6,7 @@ every shortest path for betweenness.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -284,6 +284,23 @@ def assert_matches_networkx(g):
     )
 
 
+def distance_histogram_efficiency(g):
+    """Global efficiency from networkx distances: N_k / k summed with k
+    ascending over n(n - 1), where N_k counts the ordered pairs at hop
+    distance k."""
+    nx = pytest.importorskip("networkx")
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(g.edges.tolist())
+    counts = Counter(
+        d
+        for _, lengths in nx.all_pairs_shortest_path_length(reference)
+        for d in lengths.values()
+        if d
+    )
+    return sum(counts[k] / k for k in sorted(counts)) / (g.n * (g.n - 1))
+
+
 def connected_blocks(sizes, rng):
     """Edges of one connected random graph per block of consecutive ids: a
     random spanning tree plus about as many random chords."""
@@ -363,6 +380,27 @@ class TestTraversalWindows:
         g = graph_from(n, [(ids[u], ids[v]) for u, v in edges])
         assert len(components(g)) == len(sizes) + 100
         assert_matches_networkx(g)
+
+
+class TestEfficiencyWords:
+    """Efficiency reaches vertices from 64 sources per uint64 word; a batch's
+    last word may be partly filled."""
+
+    @pytest.mark.parametrize(
+        "sizes", [[63], [64], [65], [63, 64, 65], [_BATCH + 65, 64]]
+    )
+    def test_components_around_a_word(self, sizes):
+        edges = connected_blocks(sizes, np.random.default_rng(sum(sizes)))
+        g = graph_from(sum(sizes), edges)
+        assert sorted(components(g)) == sorted(sizes)
+        assert global_efficiency(g) == distance_histogram_efficiency(g)
+
+    def test_path_with_more_levels_than_a_word_has_bits(self):
+        n = 150
+        g = graph_from(n, [(v, v + 1) for v in range(n - 1)])
+        # 2 (n - k) ordered pairs at each distance k
+        want = sum(2 * (n - k) / k for k in range(1, n)) / (n * (n - 1))
+        assert global_efficiency(g) == want == distance_histogram_efficiency(g)
 
 
 class TestWorkLimit:

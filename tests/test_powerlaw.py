@@ -337,3 +337,25 @@ class TestSampling:
     def test_degenerate_sampling_is_constant(self):
         values = sample_degrees(PowerLawSpec(2.0, 5.0, 5.0), 50, 3)
         assert (values == 5).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # k**(1 - alpha) rounds to 1.0 at both ends of the support
+        PowerLawSpec(1.0 + 2.0**-52, 4.0, 5.0),
+        # k**(1 - alpha) underflows to 0.0 at both ends
+        PowerLawSpec(6.0, 1e300, INFINITE),
+    ],
+)
+def test_support_lost_to_rounding_is_degenerate(spec):
+    assert not spec.is_degenerate
+    for call in (
+        normalization_constant,
+        lambda s: pdf(s, 4.5),
+        lambda s: cdf(s, [4.5, 1e301]),
+        lambda s: sample_continuous(s, 5, 0),
+        lambda s: sample_degrees(s, 5, 0),
+    ):
+        with pytest.raises(DegenerateSupportError, match="at both k_min"):
+            call(spec)
