@@ -120,10 +120,12 @@ def _parse_values(text: str, name: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError
             start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
+            if not (step > 0 and stop >= start):
                 raise ValueError
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + i * step for i in range(count)]
+            span = (stop - start) / step + 1e-9  # int(span) + 1 values
+            if not span < 1e6:
+                raise UsageError(f"{name} {text!r} expands to more than 10^6 values")
+            return [start + i * step for i in range(int(span) + 1)]
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
             raise ValueError

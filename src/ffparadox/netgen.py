@@ -45,6 +45,10 @@ class _EdgeError(ValueError):
         self.index = index
 
 
+# The largest vertex count whose edge codes lo * n + hi fit in int64.
+_MAX_N = 3_037_000_499
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
@@ -67,17 +71,22 @@ class Graph:
         given as pairs or as one flat array of ids ``u0, v0, u1, v1, ...``.
 
         Raises ``ValueError`` for a self-loop, a vertex id outside
-        ``[0, n)`` or an edge given twice (in either orientation).
+        ``[0, n)`` or at least ``_MAX_N``, an edge given twice (in either
+        orientation), or ``n`` above ``_MAX_N``.
         """
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         lo, hi = e.min(axis=1), e.max(axis=1)
-        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= min(n, _MAX_N)))
         if bad.size:
             i = int(bad[0])
             u, v = (int(x) for x in e[i])
             if u == v:
                 raise _EdgeError(f"self-loop at vertex {u}", i)
+            if max(u, v) >= _MAX_N:
+                raise _EdgeError(f"vertex id {max(u, v)} above {_MAX_N - 1}", i)
             raise _EdgeError(f"vertex id out of range: ({u}, {v})", i)
+        if n > _MAX_N:
+            raise ValueError(f"{n} vertices exceed the limit of {_MAX_N}")
         code = lo * n + hi
         order = np.argsort(code, kind="stable")
         code = code[order]
@@ -392,9 +401,9 @@ def write_edge_list(g: Graph, path):
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file; vertex count is max id + 1.
 
-    Malformed lines, then self-loops, negative ids and duplicate edges (in
-    either orientation, checked by ``Graph.from_edges``) are rejected with
-    their line number.
+    Malformed lines and ids outside int64, then self-loops, negative ids,
+    ids of ``_MAX_N`` or more and duplicate edges (in either orientation,
+    checked by ``Graph.from_edges``) are rejected with their line number.
     """
     edges = _load_pairs(path)
     if edges is not None:
@@ -417,6 +426,8 @@ def read_edge_list(path) -> Graph:
                 raise ValueError(
                     f"line {lineno}: vertex ids must be integers, got {line.strip()!r}"
                 ) from None
+            if not -(2**63) <= min(u, v) <= max(u, v) < 2**63:
+                raise ValueError(f"line {lineno}: id outside int64 in {line.strip()!r}")
             ids += (u, v)
             linenos.append(lineno)
     edges = np.array(ids, dtype=np.int64)

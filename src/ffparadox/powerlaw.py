@@ -6,8 +6,8 @@ continuous density; sampled degrees are rounded to integers only at the end.
 
 The general moment expressions hit 0/0 at alpha = 2 (first moment) and
 alpha = 3 (second moment).  Within ``SWITCH_EPS`` of those points the analytic
-limits replace the general forms, because the general expressions lose
-precision catastrophically near the singularities.
+limits, or at alpha = 3 an expm1 form of the second moment, replace the general
+forms, because these lose precision catastrophically near the singularities.
 """
 
 from __future__ import annotations
@@ -236,12 +236,18 @@ def _moments(spec: PowerLawSpec):
     if not spec.is_infinite and abs(spec.alpha - 2.0) <= SWITCH_EPS:
         return (*_moments_at_alpha2(spec.k_min, spec.k_max), Branch.LIMIT_ALPHA_2)
     if not spec.is_infinite and abs(spec.alpha - 3.0) <= SWITCH_EPS:
-        # The first moment is regular at alpha = 3; keep the general form for
-        # it so nearby alphas stay exact, and take the limit only for <k^2>.
+        # The first moment is regular at alpha = 3: its general form stays.
+        # <k^2> is 0/0 through d3 = k_max**t - k_min**t, t = 3 - alpha, which
+        # expm1 keeps exact; within 1e-15 of 3 the limit is exact to rounding.
         d1 = spec.k_max ** (1.0 - spec.alpha) - spec.k_min ** (1.0 - spec.alpha)
         d2 = spec.k_max ** (2.0 - spec.alpha) - spec.k_min ** (2.0 - spec.alpha)
         mean = ((spec.alpha - 1.0) / (spec.alpha - 2.0)) * (d2 / d1)
-        _, m2 = _moments_at_alpha3(spec.k_min, spec.k_max)
+        t = 3.0 - spec.alpha
+        if abs(t) < 1e-15:
+            _, m2 = _moments_at_alpha3(spec.k_min, spec.k_max)
+        else:
+            hi, lo = (math.expm1(t * math.log(k)) for k in (spec.k_max, spec.k_min))
+            m2 = ((spec.alpha - 1.0) / (spec.alpha - 3.0)) * ((hi - lo) / d1)
         return mean, m2, Branch.LIMIT_ALPHA_3
     return (*_moments_general(spec.alpha, spec.k_min, spec.k_max), Branch.GENERAL)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ffparadox.cli import main
+from ffparadox.cli import _parse_values, main
 from ffparadox.metrics import stats_from_degrees
 
 
@@ -113,6 +113,20 @@ class TestSweepCommand:
                            "--kmaxs", "10")
         assert code == 1
         assert "usage" in err.lower()
+
+    @pytest.mark.parametrize("alphas", ["1.5:1e12:1e-3", "1.5:inf:1"])
+    def test_huge_range_is_usage_error(self, capsys, alphas):
+        # refused from its value count, before any value list is built
+        code, out, err = run(capsys, "sweep", "--alphas", alphas, "--kmaxs", "10")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"usage error: --alphas {alphas!r} expands to more than 10^6 values\n"
+        )
+
+    def test_range_of_a_million_values_is_accepted(self):
+        values = _parse_values("0:999999:1", "--alphas")
+        assert len(values) == 10**6 and values[-1] == 999999.0
 
 
 class TestExperimentCommand:
@@ -224,6 +238,23 @@ class TestExperimentCommand:
             f"summary,{m},,100,5000.0,,,,,1884.1251364739578,,,,,,ALL_CELLS_FAILED"
             for m in ("A", "B")
         ]
+
+
+    def test_point_mass_cells_carry_no_maximum(self, capsys):
+        # on k_min == k_max the likelihood does not depend on alpha; the
+        # 5-regular graph is still realized and measured
+        code, out, err = run(capsys, "experiment", "--kmin", "5", "--kmaxs", "5",
+                             "--n", "100", "--seeds", "0", "--models", "A")
+        assert code == 0
+        assert err == ""
+        header, cell, summary = (line.split(",") for line in out.splitlines())
+        cell = dict(zip(header, cell))
+        assert cell["error"] == "NO_MAXIMUM"
+        assert cell["alpha_hat"] == ""
+        assert float(cell["empirical_mean"]) == 5.0
+        assert float(cell["empirical_ratio"]) == 0.0
+        assert cell["components"] == "1"
+        assert dict(zip(header, summary))["error"] == "ALL_CELLS_FAILED"
 
 
 class TestGenerateCommand:
@@ -338,6 +369,17 @@ class TestAnalyzeCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["fit"] == {"error": "NO_MAXIMUM"}
+
+    @pytest.mark.parametrize(
+        "big_id", ["4000000000", "9223372036854775807", "99999999999999999999"]
+    )
+    def test_id_too_large_is_domain_error(self, capsys, tmp_path, big_id):
+        path = tmp_path / "big.txt"
+        path.write_text(f"0 1\n1 {big_id}\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
     def test_too_many_vertex_pairs_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "path.txt"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffparadox.errors import (
     DivergentError,
@@ -11,13 +13,22 @@ from ffparadox.errors import (
     OutOfRangeError,
     TooFewPointsError,
 )
+from ffparadox import fit
 from ffparadox.fit import Moment, alpha_from_moment, fit_alpha
 from ffparadox.powerlaw import (
     INFINITE,
     PowerLawSpec,
+    normalization_constant,
     predict,
     sample_continuous,
 )
+
+# The PredictionResult field holding each moment.
+FIELDS = {
+    Moment.MEAN: "mean_k",
+    Moment.VARIANCE: "variance",
+    Moment.VAR_TO_MEAN: "var_to_mean",
+}
 
 
 class TestFitAlpha:
@@ -35,6 +46,33 @@ class TestFitAlpha:
     def test_constant_data_finite_kmax_has_no_maximum(self):
         with pytest.raises(NoMaximumError):
             fit_alpha([1.0] * 50, k_min=1.0, k_max=100.0)
+
+    def test_point_mass_has_no_maximum(self):
+        # on k_min == k_max the likelihood does not depend on alpha
+        with pytest.raises(NoMaximumError):
+            fit_alpha([5.0] * 10, k_min=5.0, k_max=5.0)
+
+    @pytest.mark.parametrize(
+        "seed, alpha, k_min, k_max",
+        [(0, 1.8, 1.0, 50.0), (1, 2.0, 1.0, 1000.0), (2, 2.7, 3.0, 200.0),
+         (3, 3.0, 1.0, 20.0)],
+    )
+    def test_truncated_estimate_maximizes_the_log_likelihood(
+        self, seed, alpha, k_min, k_max
+    ):
+        # The oracle is the explicit log-likelihood n ln C(alpha) - alpha sum ln k,
+        # not the score equation that fit_alpha solves.
+        sample = sample_continuous(PowerLawSpec(alpha, k_min, k_max), 2000, seed)
+        log_sum = float(np.log(sample).sum())
+
+        def log_likelihood(a):
+            c = normalization_constant(PowerLawSpec(a, k_min, k_max))
+            return sample.size * math.log(c) - a * log_sum
+
+        a_hat = fit_alpha(sample, k_min=k_min, k_max=k_max).alpha_hat
+        best = log_likelihood(a_hat)
+        assert best >= log_likelihood(a_hat - 1e-4)
+        assert best >= log_likelihood(a_hat + 1e-4)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
@@ -126,3 +164,32 @@ class TestAlphaFromMoment:
         want = predict(PowerLawSpec(2.5, 1.0, 100.0)).mean_k
         got = alpha_from_moment(want, "MEAN", 1.0, 100.0)
         assert got == pytest.approx(2.5, abs=1e-7)
+
+    def test_variance_to_mean_peak_on_a_narrow_support(self):
+        # On [280, 302] the ratio is nearly flat and its closed form noisy;
+        # the peak 1.16666498 is from 40-digit quadrature (mpmath).
+        def moment(a):
+            return predict(PowerLawSpec(a, 280.0, 302.0)).var_to_mean
+
+        assert abs(fit._peak_alpha(moment) - 1.16666498) <= 5e-5
+
+    def test_limit_branch_plateau_inverts_to_its_middle(self):
+        # within SWITCH_EPS of alpha = 2 every moment is the constant limit
+        # form, so the root is a stretch of alpha centred on 2
+        for which in Moment:
+            want = getattr(predict(PowerLawSpec(2.0, 1.0, 1000.0)), FIELDS[which])
+            got = alpha_from_moment(want, which, 1.0, 1000.0)
+            assert abs(got - 2.0) <= 1e-9, (which, got)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha=st.floats(1.3, 5.5),
+    k_min=st.floats(1.0, 100.0),
+    ratio=st.floats(2.0, 1e6),
+    which=st.sampled_from(list(Moment)),
+)
+def test_moment_inversion_round_trips(alpha, k_min, ratio, which):
+    k_max = k_min * ratio
+    want = getattr(predict(PowerLawSpec(alpha, k_min, k_max)), FIELDS[which])
+    assert abs(alpha_from_moment(want, which, k_min, k_max) - alpha) <= 1e-6

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ffparadox import metrics
+from ffparadox import metrics, netgen
 from ffparadox.errors import ImpossibleSequenceError
 from ffparadox.netgen import (
     Graph,
@@ -300,3 +300,40 @@ class TestEdgeListIO:
         with pytest.raises(ValueError) as info:
             read_edge_list(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1 3037000499\n", "line 2: vertex id 3037000499 above 3037000498"),
+            ("0 1\n1 4000000000\n", "line 2: vertex id 4000000000 above 3037000498"),
+            (
+                "0 1\n9223372036854775807 1\n",
+                "line 2: vertex id 9223372036854775807 above 3037000498",
+            ),
+            (
+                "0 1\n1 99999999999999999999\n",
+                "line 2: id outside int64 in '1 99999999999999999999'",
+            ),
+            (
+                "0 1\n-9223372036854775809 1\n",
+                "line 2: id outside int64 in '-9223372036854775809 1'",
+            ),
+        ],
+        ids=["first-refused", "4e9", "int64-max", "above-int64", "below-int64"],
+    )
+    def test_id_too_large_for_edge_codes_names_its_line(self, tmp_path, text, message):
+        # edge codes lo * n + hi with n = largest id + 1 must fit in int64
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == message
+
+    def test_vertex_limit_is_the_largest_n_with_int64_edge_codes(self):
+        assert netgen._MAX_N**2 - 1 <= np.iinfo(np.int64).max
+        assert (netgen._MAX_N + 1) ** 2 - 1 > np.iinfo(np.int64).max
+
+    def test_too_many_vertices_refused_before_allocating(self):
+        # n vertices would need an (n + 1)-entry index array: 32 GB here
+        with pytest.raises(ValueError, match="4000000001 vertices"):
+            Graph.from_edges(4_000_000_001, [(0, 1)])

@@ -160,6 +160,16 @@ class TestPredict:
                 2.0 * k_min * k_max / (k_min + k_max), rel=1e-12
             )
 
+    def test_alpha3_branch_second_moment_tracks_alpha(self):
+        # inside the branch <k^2> follows alpha, so the variance stays
+        # decreasing and moment inversion stays exact through alpha = 3
+        for k_min, k_max in ((1.0, 3.0), (1.0, 500.0), (4.0, 90.0)):
+            for alpha in (3.0 - 9e-7, 3.0 - 1e-10, 3.0 + 1e-10, 3.0 + 9e-7):
+                r = predict(PowerLawSpec(alpha, k_min, k_max))
+                assert r.branch is Branch.LIMIT_ALPHA_3
+                _, _, m2 = quad_moments(alpha, k_min, k_max)
+                assert r.second_moment == pytest.approx(m2, rel=1e-10)
+
     def test_alpha3_kff_direct_expression(self):
         k_min, k_max = 1.0, 100.0
         r = predict(PowerLawSpec(3.0, k_min, k_max))
