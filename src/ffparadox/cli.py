@@ -314,6 +314,8 @@ def _cmd_sweep(args) -> int:
     kmaxs = _parse_values(args.kmaxs, "--kmaxs")
     if args.kmin < 1:
         raise UsageError("--kmin must be >= 1")
+    if (count := len(alphas) * len(kmaxs)) > 10**6:
+        raise UsageError(f"--alphas x --kmaxs gives {count} rows, more than 10^6")
     rows = run_sweep(alphas, kmaxs, args.kmin)
     _emit(sweep_csv(rows), args.out)
     return 0

@@ -3,8 +3,8 @@
 Two routes are provided: maximum likelihood on raw observations (continuous
 truncated model), and inversion of a single observed moment (mean, variance,
 or variance-to-mean ratio) against the closed-form predictions.  Every search
-runs through one bisection, ``_bisect``; a root that is a stretch of alpha
-(the constant limit branch at alpha = 2) is reported at its middle.
+runs through one bisection, ``_bisect``.  The likelihood score and the
+predicted moments are regular at every alpha, so each root is a single point.
 """
 
 from __future__ import annotations
@@ -72,12 +72,16 @@ def _bisect(before, lo: float, hi: float, tol: float) -> float:
 def _mean_log_k(alpha: float, k_min: float, k_max: float) -> float:
     """Model expectation of ln(k) for finite k_max, i.e. d/d_alpha of ln C.
 
-    The likelihood score is n * (E[ln k] - mean(ln k_obs)); this expression
-    is regular for every alpha > 1, including alpha = 2 and 3.
+    The likelihood score is n * (E[ln k] - mean(ln k_obs)).  With
+    span = ln(k_max / k_min) and x = (alpha - 1) * span, E[ln k] =
+    ln k_min + span * (1/x - 1/expm1(x)); below x = 0.05, where those terms
+    cancel, the bracket is its Taylor series (next term < 2e-15 relative).
     """
-    lo, hi = k_min ** (1.0 - alpha), k_max ** (1.0 - alpha)
-    log_term = (math.log(k_max) * hi - math.log(k_min) * lo) / (lo - hi)
-    return 1.0 / (alpha - 1.0) - log_term
+    span = math.log1p((k_max - k_min) / k_min)
+    x = (alpha - 1.0) * span
+    if x < 0.05:
+        return math.log(k_min) + span * (0.5 - x / 12 + x**3 / 720 - x**5 / 30240)
+    return math.log(k_min) + span * (1.0 / x - math.exp(-x) / -math.expm1(-x))
 
 
 def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitResult:
@@ -167,9 +171,6 @@ def alpha_from_moment(
     The moments decrease in alpha except for a shallow variance-to-mean
     maximum near the lower bracket edge; inversion solves on the decreasing
     branch (the usual scale-free regime), verified at its endpoints first.
-    The result is the midpoint of where the moment stops exceeding
-    ``observed`` and where it falls below it: the middle of any stretch on
-    which it equals ``observed``, such as the constant limit branch at 2.
     """
     which = Moment(which)
     if math.isinf(k_max):
@@ -193,5 +194,4 @@ def alpha_from_moment(
             f"observed {which.value} {observed!r} outside attainable "
             f"[{m_hi:.6g}, {m_lo:.6g}]"
         )
-    above = _bisect(lambda a: moment(a) > observed, lo, hi, 1e-9)
-    return 0.5 * (above + _bisect(lambda a: moment(a) >= observed, lo, hi, 1e-9))
+    return _bisect(lambda a: moment(a) > observed, lo, hi, 1e-9)

@@ -4,10 +4,10 @@ The distribution is the continuous density P(k) = C * k**(-alpha) supported on
 [k_min, k_max] with alpha > 1.  All moments below are integrals of that
 continuous density; sampled degrees are rounded to integers only at the end.
 
-The general moment expressions hit 0/0 at alpha = 2 (first moment) and
-alpha = 3 (second moment).  Within ``SWITCH_EPS`` of those points the analytic
-limits, or at alpha = 3 an expm1 form of the second moment, replace the general
-forms, because these lose precision catastrophically near the singularities.
+The paper's moment forms are 0/0 at alpha = 2 and 3.  ``predict`` uses one
+regular form instead.  With span = ln(k_max / k_min) and E(t) =
+expm1(t * span) / t, E(0) = span: <k> = k_min * E(2 - alpha) / E(1 - alpha) and
+<k^2> = k_min**2 * E(3 - alpha) / E(1 - alpha), both taken through ln E(t).
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from .errors import DegenerateSupportError, DivergentError
 # Distinguished value for an unbounded maximum degree.
 INFINITE = math.inf
 
-# Distance from alpha = 2 or alpha = 3 inside which the limit formulas run.
+# Distance from alpha = 2 or 3 inside which a prediction is labelled a limit.
 SWITCH_EPS = 1e-6
 
 
 class Branch(str, Enum):
-    """Which evaluation path produced a prediction."""
+    """Which of the paper's closed forms a prediction falls under (a label only)."""
 
     GENERAL = "GENERAL"
     LIMIT_ALPHA_2 = "LIMIT_ALPHA_2"
@@ -139,7 +139,7 @@ def cdf(spec: PowerLawSpec, k):
 
 
 def _moments_general(alpha: float, k_min: float, k_max: float):
-    """(mean, second moment) from the general closed forms; 0/0 at alpha in {2, 3}."""
+    """The paper's general (mean, second moment), 0/0 at alpha = 2, 3; a reference."""
     d1 = k_max ** (1.0 - alpha) - k_min ** (1.0 - alpha)
     d2 = k_max ** (2.0 - alpha) - k_min ** (2.0 - alpha)
     d3 = k_max ** (3.0 - alpha) - k_min ** (3.0 - alpha)
@@ -217,9 +217,8 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
     try:
         result = _assemble(normalization_constant(spec), *_moments(spec))
         finite = all(map(math.isfinite, astuple(result)[:-1]))  # all but branch
-    # A float power or ratio overflowed, or k**(1 - alpha) took one value
-    # over the whole support.
-    except (OverflowError, ZeroDivisionError, DegenerateSupportError):
+    # A moment overflowed, or C is undefined: k**(1 - alpha) is one float.
+    except (OverflowError, DegenerateSupportError):
         finite = False
     if not finite:
         raise DivergentError(
@@ -229,27 +228,25 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
     return result
 
 
+def _log_e(t: float, span: float) -> float:
+    """ln E(t) for E(t) = expm1(t * span) / t, E(0) = span; finite when E is."""
+    x = t * span
+    if x > 0.0:
+        return x + math.log(-math.expm1(-x) / t)
+    return math.log(math.expm1(x) / t if t else span)
+
+
 def _moments(spec: PowerLawSpec):
     """(mean, second moment, branch) of a spec with a non-degenerate support."""
-    # The 0/0 cancellations only occur for finite support; with unbounded
-    # k_max and alpha > 3 the general forms are regular everywhere.
+    span = math.log1p((spec.k_max - spec.k_min) / spec.k_min)
+    base = _log_e(1.0 - spec.alpha, span)
+    mean = spec.k_min * math.exp(_log_e(2.0 - spec.alpha, span) - base)
+    m2 = spec.k_min * (spec.k_min * math.exp(_log_e(3.0 - spec.alpha, span) - base))
     if not spec.is_infinite and abs(spec.alpha - 2.0) <= SWITCH_EPS:
-        return (*_moments_at_alpha2(spec.k_min, spec.k_max), Branch.LIMIT_ALPHA_2)
+        return mean, m2, Branch.LIMIT_ALPHA_2
     if not spec.is_infinite and abs(spec.alpha - 3.0) <= SWITCH_EPS:
-        # The first moment is regular at alpha = 3: its general form stays.
-        # <k^2> is 0/0 through d3 = k_max**t - k_min**t, t = 3 - alpha, which
-        # expm1 keeps exact; within 1e-15 of 3 the limit is exact to rounding.
-        d1 = spec.k_max ** (1.0 - spec.alpha) - spec.k_min ** (1.0 - spec.alpha)
-        d2 = spec.k_max ** (2.0 - spec.alpha) - spec.k_min ** (2.0 - spec.alpha)
-        mean = ((spec.alpha - 1.0) / (spec.alpha - 2.0)) * (d2 / d1)
-        t = 3.0 - spec.alpha
-        if abs(t) < 1e-15:
-            _, m2 = _moments_at_alpha3(spec.k_min, spec.k_max)
-        else:
-            hi, lo = (math.expm1(t * math.log(k)) for k in (spec.k_max, spec.k_min))
-            m2 = ((spec.alpha - 1.0) / (spec.alpha - 3.0)) * ((hi - lo) / d1)
         return mean, m2, Branch.LIMIT_ALPHA_3
-    return (*_moments_general(spec.alpha, spec.k_min, spec.k_max), Branch.GENERAL)
+    return mean, m2, Branch.GENERAL
 
 
 def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffparadox.cli import _parse_values, main
+from ffparadox.cli import _parse_values, main, run_sweep
 from ffparadox.metrics import stats_from_degrees
 
 
@@ -64,16 +66,28 @@ class TestPredictCommand:
         assert code == 2
         assert "diverge" in err
 
-    @pytest.mark.parametrize(
-        "alpha, k_max", [("1.2", "1e200"), ("3", "1e200"), ("1.01", "1e200"),
-                         ("2", "1.7e308")]
-    )
+    @pytest.mark.parametrize("alpha, k_max", [("1.2", "1e200"), ("1.01", "1e200")])
     def test_float_overflow_is_a_domain_error(self, capsys, alpha, k_max):
         code, out, err = run(capsys, "predict", "--alpha", alpha, "--kmax", k_max)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "alpha, k_max, mean_k",
+        [("3", "1e200", 2.0), ("2", "1.7e308", 709.72683689322824)],
+        ids=["3-1e200", "2-1.7e308"],
+    )
+    def test_huge_support_with_finite_moments_is_answered(
+        self, capsys, alpha, k_max, mean_k
+    ):
+        code, out, err = run(capsys, "predict", "--alpha", alpha, "--kmax", k_max)
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["mean_k"] == pytest.approx(mean_k, rel=1e-13)
+        assert all(math.isfinite(payload[key]) for key in ("second_moment", "k_ff"))
 
 
 class TestSweepCommand:
@@ -124,9 +138,45 @@ class TestSweepCommand:
             f"usage error: --alphas {alphas!r} expands to more than 10^6 values\n"
         )
 
+    def test_grid_of_more_than_a_million_rows_is_usage_error(self, capsys):
+        # 1000 x 1001 rows, refused before any row is computed
+        code, out, err = run(capsys, "sweep", "--alphas", "1.5:2.499:0.001",
+                             "--kmaxs", "10:1010:1")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "usage error: --alphas x --kmaxs gives 1001000 rows, more than 10^6\n"
+        )
+
     def test_range_of_a_million_values_is_accepted(self):
         values = _parse_values("0:999999:1", "--alphas")
         assert len(values) == 10**6 and values[-1] == 999999.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.floats(1.5, 5.5), max_size=20),
+    st.floats(1e-7, 1e-6),
+    st.floats(1.0, 100.0),
+    st.lists(st.floats(1.5, 1e12), min_size=1, max_size=8),
+)
+def test_sweep_var_to_mean_is_monotone(alphas, step, k_min, ratios):
+    # steps down to 1e-7, some crossing alpha = 2 and 3
+    grid = []
+    for a in sorted(alphas + [p + i * step for p in (2.0, 3.0) for i in (-1, 0, 1)]):
+        if not grid or a - grid[-1] >= 1e-7:
+            grid.append(a)
+    kmaxs = sorted(k_min * r for r in ratios)
+    rows = run_sweep(grid, kmaxs, k_min)
+    ratio, k_ff = (
+        np.array([getattr(row, name) for row in rows]).reshape(len(grid), len(kmaxs))
+        for name in ("var_to_mean", "k_ff")
+    )
+    assert (np.diff(ratio, axis=0) < 0).all()
+    # Saturates in k_max at large alpha, so only non-decreasing; k_max values
+    # a float step apart may differ by the rounding error, at most 1e-13 * k_ff
+    # (test_predict_matches_high_precision_closed_forms).
+    assert (np.diff(ratio, axis=1) >= -1e-13 * k_ff[:, 1:]).all()
 
 
 class TestExperimentCommand:
@@ -235,7 +285,7 @@ class TestExperimentCommand:
         assert [line.split(",")[-1] for line in lines[1:3]] == [
             "IMPOSSIBLE_SEQUENCE"] * 2
         assert lines[3:] == [
-            f"summary,{m},,100,5000.0,,,,,1884.1251364739578,,,,,,ALL_CELLS_FAILED"
+            f"summary,{m},,100,5000.0,,,,,1884.125136473961,,,,,,ALL_CELLS_FAILED"
             for m in ("A", "B")
         ]
 

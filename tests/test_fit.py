@@ -52,6 +52,12 @@ class TestFitAlpha:
         with pytest.raises(NoMaximumError):
             fit_alpha([5.0] * 10, k_min=5.0, k_max=5.0)
 
+    def test_support_of_one_float_step_has_no_maximum(self):
+        # [5, 5 + 2^-50] is one float step wide; half the data at each end
+        # puts the likelihood's maximum at alpha = 1, off the bracket
+        with pytest.raises(NoMaximumError):
+            fit_alpha([5.0, 5.000000000000001] * 2, k_min=5.0, k_max=5.000000000000001)
+
     @pytest.mark.parametrize(
         "seed, alpha, k_min, k_max",
         [(0, 1.8, 1.0, 50.0), (1, 2.0, 1.0, 1000.0), (2, 2.7, 3.0, 200.0),
@@ -165,6 +171,11 @@ class TestAlphaFromMoment:
         got = alpha_from_moment(want, "MEAN", 1.0, 100.0)
         assert got == pytest.approx(2.5, abs=1e-7)
 
+    @pytest.mark.parametrize("alpha", [fit.ALPHA_LO, fit.ALPHA_HI])
+    def test_mean_at_a_bracket_end_inverts_to_it(self, alpha):
+        want = predict(PowerLawSpec(alpha, 1.0, 100.0)).mean_k
+        assert abs(alpha_from_moment(want, Moment.MEAN, 1.0, 100.0) - alpha) <= 1e-6
+
     def test_variance_to_mean_peak_on_a_narrow_support(self):
         # On [280, 302] the ratio is nearly flat and its closed form noisy;
         # the peak 1.16666498 is from 40-digit quadrature (mpmath).
@@ -174,8 +185,8 @@ class TestAlphaFromMoment:
         assert abs(fit._peak_alpha(moment) - 1.16666498) <= 5e-5
 
     def test_limit_branch_plateau_inverts_to_its_middle(self):
-        # within SWITCH_EPS of alpha = 2 every moment is the constant limit
-        # form, so the root is a stretch of alpha centred on 2
+        # every moment is strictly decreasing through alpha = 2, including
+        # within SWITCH_EPS of it, so its value at 2 inverts to 2
         for which in Moment:
             want = getattr(predict(PowerLawSpec(2.0, 1.0, 1000.0)), FIELDS[which])
             got = alpha_from_moment(want, which, 1.0, 1000.0)

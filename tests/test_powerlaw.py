@@ -7,9 +7,10 @@ rebuilt from integrals and compared against the closed forms.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -211,15 +212,26 @@ class TestPredict:
 
     @pytest.mark.parametrize("alpha, k_min, k_max", [
         (1.2, 1.0, 1e200),
-        (3.0, 1.0, 1e200),
         (1.01, 1.0, 1e200),
-        (2.0, 1.0, 1.7e308),
         # k**(1 - alpha) rounds to 1 at both ends, so C divides by zero.
         (1.0000000000000002, 4.0, 5.0),
     ])
     def test_non_finite_moments_are_divergent(self, alpha, k_min, k_max):
         with pytest.raises(DivergentError, match="not finite"):
             predict(PowerLawSpec(alpha, k_min, k_max))
+
+    def test_huge_supports_with_representable_moments_are_finite(self):
+        # Values from the closed forms in 50-digit mpmath.  Each spec has a
+        # power of k_max that overflows a float, and each was refused as
+        # divergent while predict evaluated the closed forms directly.
+        r = predict(PowerLawSpec(3.0, 1.0, 1e200))
+        assert r.mean_k == pytest.approx(2.0, rel=1e-13)
+        assert r.second_moment == pytest.approx(921.03403719761827, rel=1e-13)
+        r = predict(PowerLawSpec(2.0, 1.0, 1.7e308))
+        assert r.mean_k == pytest.approx(709.72683689322824, rel=1e-13)
+        assert r.var_to_mean == pytest.approx(2.3952877524564412e305, rel=1e-12)
+        r = predict(PowerLawSpec(1.001, 1.0, 1e155))
+        assert r.second_moment == pytest.approx(1.1663725150131524e307, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=500)
@@ -237,6 +249,47 @@ def test_predict_is_finite_or_a_domain_error(alpha, k_min, width):
     fields = (r.mean_k, r.second_moment, r.variance, r.var_to_mean, r.k_ff)
     assert all(map(math.isfinite, fields))
     assert r.k_ff >= r.mean_k
+
+
+def mp_moments(alpha, k_min, k_max):
+    """(mean, second moment, variance / mean) from the paper's closed forms
+    in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        a, lo, hi = (mpmath.mpf(v) for v in (alpha, k_min, k_max))
+
+        def integral(p):  # of k**p over [k_min, k_max]
+            if p == -1:
+                return mpmath.log(hi / lo)
+            return (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+
+        z = integral(-a)
+        mean, m2 = integral(1 - a) / z, integral(2 - a) / z
+        return mean, m2, (m2 - mean * mean) / mean
+
+
+NEAR_POLES = st.builds(
+    lambda pole, side, exponent: pole + side * 10.0**exponent,
+    st.sampled_from([2.0, 3.0]),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-15.0, -6.0),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.floats(1.0, 6.0, exclude_min=True) | NEAR_POLES | st.sampled_from([2.0, 3.0]),
+    st.floats(1.0, 100.0),
+    st.floats(1.5, 1e12),
+)
+def test_predict_matches_high_precision_closed_forms(alpha, k_min, ratio):
+    k_max = k_min * ratio
+    # C is undefined in floats where k**(1 - alpha) is one value on the support
+    assume(k_min ** (1.0 - alpha) != k_max ** (1.0 - alpha))
+    r = predict(PowerLawSpec(alpha, k_min, k_max))
+    mean, m2, var_to_mean = mp_moments(alpha, k_min, k_max)
+    assert abs(r.mean_k - mean) <= 1e-13 * mean
+    assert abs(r.second_moment - m2) <= 1e-13 * m2
+    assert abs(r.var_to_mean - var_to_mean) <= 1e-13 * m2 / mean
 
 
 class TestSingularityContinuity:
