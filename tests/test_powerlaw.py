@@ -220,19 +220,22 @@ class TestPredict:
         with pytest.raises(DivergentError, match="not finite"):
             predict(PowerLawSpec(alpha, k_min, k_max))
 
-    def test_huge_supports_with_representable_moments_are_finite(self):
-        # Values from the closed forms in 50-digit mpmath.  Each spec has a
-        # power of k_max that overflows a float, and each was refused as
-        # divergent while predict evaluated the closed forms directly.
-        r = predict(PowerLawSpec(3.0, 1.0, 1e200))
-        assert r.mean_k == pytest.approx(2.0, rel=1e-13)
-        assert r.second_moment == pytest.approx(921.03403719761827, rel=1e-13)
-        r = predict(PowerLawSpec(2.0, 1.0, 1.7e308))
-        assert r.mean_k == pytest.approx(709.72683689322824, rel=1e-13)
-        assert r.var_to_mean == pytest.approx(2.3952877524564412e305, rel=1e-12)
-        r = predict(PowerLawSpec(1.001, 1.0, 1e155))
-        assert r.second_moment == pytest.approx(1.1663725150131524e307, rel=1e-12)
-
+    # Values from the closed forms in 50-digit mpmath.  Each spec has a
+    # power of k_max that overflows a float, and each was refused as
+    # divergent while predict evaluated the closed forms directly.
+    @pytest.mark.parametrize("alpha, k_min, k_max, expected", [
+        (3.0, 1.0, 1e200, [("mean_k", 2.0, 1e-13),
+                           ("second_moment", 921.03403719761827, 1e-13)]),
+        (2.0, 1.0, 1.7e308, [("mean_k", 709.72683689322824, 1e-13),
+                             ("var_to_mean", 2.3952877524564412e305, 1e-12)]),
+        (1.001, 1.0, 1e155, [("second_moment", 1.1663725150131524e307, 1e-12)]),
+    ], ids=["3.0-1.0-1e+200", "2.0-1.0-1.7e+308", "1.001-1.0-1e+155"])
+    def test_huge_supports_with_representable_moments_are_finite(
+        self, alpha, k_min, k_max, expected
+    ):
+        r = predict(PowerLawSpec(alpha, k_min, k_max))
+        for field, value, rel in expected:
+            assert getattr(r, field) == pytest.approx(value, rel=rel)
 
 @settings(deadline=None, max_examples=500)
 @given(
