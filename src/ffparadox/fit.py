@@ -69,7 +69,7 @@ def _bisect(before, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _mean_log_k(alpha: float, k_min: float, k_max: float) -> float:
+def _mean_log_k(spec: powerlaw.PowerLawSpec) -> float:
     """Model expectation of ln(k) for finite k_max, i.e. d/d_alpha of ln C.
 
     The likelihood score is n * (E[ln k] - mean(ln k_obs)).  With
@@ -77,11 +77,11 @@ def _mean_log_k(alpha: float, k_min: float, k_max: float) -> float:
     ln k_min + span * (1/x - 1/expm1(x)); below x = 0.05, where those terms
     cancel, the bracket is its Taylor series (next term < 2e-15 relative).
     """
-    span = math.log1p((k_max - k_min) / k_min)
-    x = (alpha - 1.0) * span
+    span = spec.span
+    x = (spec.alpha - 1.0) * span
     if x < 0.05:
-        return math.log(k_min) + span * (0.5 - x / 12 + x**3 / 720 - x**5 / 30240)
-    return math.log(k_min) + span * (1.0 / x - math.exp(-x) / -math.expm1(-x))
+        return math.log(spec.k_min) + span * (0.5 - x / 12 + x**3 / 720 - x**5 / 30240)
+    return math.log(spec.k_min) + span * (1.0 / x - math.exp(-x) / -math.expm1(-x))
 
 
 def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitResult:
@@ -122,7 +122,7 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
             raise NoMaximumError("likelihood does not depend on alpha: k_min == k_max")
 
         def score(a):
-            return _mean_log_k(a, k_min, k_max) - mean_log
+            return _mean_log_k(powerlaw.PowerLawSpec(a, k_min, k_max)) - mean_log
 
         # The log-likelihood is concave in alpha, so a score without a sign
         # change means it is monotone on the whole bracket.

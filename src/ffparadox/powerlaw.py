@@ -4,10 +4,11 @@ The distribution is the continuous density P(k) = C * k**(-alpha) supported on
 [k_min, k_max] with alpha > 1.  All moments below are integrals of that
 continuous density; sampled degrees are rounded to integers only at the end.
 
-The paper's moment forms are 0/0 at alpha = 2 and 3.  ``predict`` uses one
-regular form instead.  With span = ln(k_max / k_min) and E(t) =
-expm1(t * span) / t, E(0) = span: <k> = k_min * E(2 - alpha) / E(1 - alpha) and
-<k^2> = k_min**2 * E(3 - alpha) / E(1 - alpha), both taken through ln E(t).
+Every form is regular: with span = ln(k_max / k_min) and t = 1 - alpha, C =
+(alpha - 1) / (k_min**t * -expm1(t * span)), cdf(k) = expm1(t * ln(k / k_min)) /
+expm1(t * span), and the sampler inverts the cdf.  With E(t) = expm1(t * span)
+/ t, E(0) = span: <k> = k_min * E(2 - alpha) / E(1 - alpha) and <k^2> =
+k_min**2 * E(3 - alpha) / E(1 - alpha), both taken through ln E(t).
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ class PowerLawSpec:
     def is_degenerate(self) -> bool:
         return self.k_max == self.k_min
 
+    @property
+    def span(self) -> float:
+        """ln(k_max / k_min), exact for narrow supports; inf for unbounded k_max."""
+        return math.log1p((self.k_max - self.k_min) / self.k_min)
+
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -81,37 +87,26 @@ class PredictionResult:
     branch: Branch
 
 
-def _support_powers(spec: PowerLawSpec):
-    """k_min**(1 - alpha) and k_max**(1 - alpha), the ends of the CDF's range.
-
-    For infinite k_max the second is 0.0, and the forms built on the pair
-    still hold because alpha > 1 keeps the integral convergent.  Raises
-    ``DegenerateSupportError`` when k_min < k_max but the two are the same
-    float (alpha within rounding of 1, or both powers underflowing), since
-    the density can then be neither normalized nor inverted.
-    """
-    e = 1.0 - spec.alpha
-    lo, hi = spec.k_min**e, spec.k_max**e
-    if lo == hi and not spec.is_degenerate:
-        raise DegenerateSupportError(
-            f"k**(1 - alpha) rounds to {lo!r} at both k_min={spec.k_min} and "
-            f"k_max={spec.k_max} for alpha={spec.alpha}"
-        )
-    return lo, hi
-
-
 def normalization_constant(spec: PowerLawSpec) -> float:
     """Constant C making the density integrate to one over [k_min, k_max].
 
-    C = (1 - alpha) / (k_max**(1-alpha) - k_min**(1-alpha)); for k_min = 1 and
-    unbounded k_max this reduces to alpha - 1.
+    C = (alpha - 1) / (k_min**t * -expm1(t * span)) with t = 1 - alpha; for
+    k_min = 1 and unbounded k_max this reduces to alpha - 1.  A C that is not
+    a finite float raises ``DivergentError``.
     """
     if spec.is_degenerate:
         raise DegenerateSupportError(
             "normalization constant undefined for k_min == k_max"
         )
-    lo, hi = _support_powers(spec)
-    return (1.0 - spec.alpha) / (hi - lo)
+    t = 1.0 - spec.alpha
+    mass = spec.k_min**t * -math.expm1(t * spec.span)
+    c = (spec.alpha - 1.0) / mass if mass else math.inf  # k_min**t underflowed
+    if not math.isfinite(c):
+        raise DivergentError(
+            f"normalization constant not finite in floating point for "
+            f"alpha={spec.alpha}, k_min={spec.k_min}, k_max={spec.k_max}"
+        )
+    return c
 
 
 def pdf(spec: PowerLawSpec, k):
@@ -131,44 +126,11 @@ def cdf(spec: PowerLawSpec, k):
     """
     if spec.is_degenerate:
         raise DegenerateSupportError("cdf undefined for k_min == k_max")
-    lo, hi = _support_powers(spec)
-    k = np.asarray(k, dtype=float)
-    e = 1.0 - spec.alpha
-    values = (np.power(np.clip(k, spec.k_min, spec.k_max), e) - lo) / (hi - lo)
+    t = 1.0 - spec.alpha
+    k = np.clip(np.asarray(k, dtype=float), spec.k_min, spec.k_max)
+    steps = np.expm1(t * np.log1p((k - spec.k_min) / spec.k_min))
+    values = steps / math.expm1(t * spec.span)
     return float(values) if values.ndim == 0 else values
-
-
-def _moments_general(alpha: float, k_min: float, k_max: float):
-    """The paper's general (mean, second moment), 0/0 at alpha = 2, 3; a reference."""
-    d1 = k_max ** (1.0 - alpha) - k_min ** (1.0 - alpha)
-    d2 = k_max ** (2.0 - alpha) - k_min ** (2.0 - alpha)
-    d3 = k_max ** (3.0 - alpha) - k_min ** (3.0 - alpha)
-    mean = ((alpha - 1.0) / (alpha - 2.0)) * (d2 / d1)
-    m2 = ((alpha - 1.0) / (alpha - 3.0)) * (d3 / d1)
-    return mean, m2
-
-
-def _moments_at_alpha2(k_min: float, k_max: float):
-    """Analytic alpha -> 2 limits: mean = k_min*k_max*ln(k_max/k_min)/(k_max-k_min),
-    second moment = k_min*k_max."""
-    mean = k_min * k_max * math.log(k_max / k_min) / (k_max - k_min)
-    m2 = k_min * k_max
-    return mean, m2
-
-
-def _moments_at_alpha3(k_min: float, k_max: float):
-    """Analytic alpha -> 3 limits: mean = 2*k_min*k_max/(k_min+k_max) (harmonic
-    mean, still given by the general first-moment form), second moment =
-    2*k_min**2*k_max**2*ln(k_max/k_min)/(k_max**2 - k_min**2)."""
-    mean = 2.0 * k_min * k_max / (k_min + k_max)
-    m2 = (
-        2.0
-        * k_min**2
-        * k_max**2
-        * math.log(k_max / k_min)
-        / (k_max**2 - k_min**2)
-    )
-    return mean, m2
 
 
 def _assemble(c: float, mean: float, m2: float, branch: Branch) -> PredictionResult:
@@ -217,8 +179,7 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
     try:
         result = _assemble(normalization_constant(spec), *_moments(spec))
         finite = all(map(math.isfinite, astuple(result)[:-1]))  # all but branch
-    # A moment overflowed, or C is undefined: k**(1 - alpha) is one float.
-    except (OverflowError, DegenerateSupportError):
+    except OverflowError:  # a moment overflowed
         finite = False
     if not finite:
         raise DivergentError(
@@ -238,7 +199,7 @@ def _log_e(t: float, span: float) -> float:
 
 def _moments(spec: PowerLawSpec):
     """(mean, second moment, branch) of a spec with a non-degenerate support."""
-    span = math.log1p((spec.k_max - spec.k_min) / spec.k_min)
+    span = spec.span
     base = _log_e(1.0 - spec.alpha, span)
     mean = spec.k_min * math.exp(_log_e(2.0 - spec.alpha, span) - base)
     m2 = spec.k_min * (spec.k_min * math.exp(_log_e(3.0 - spec.alpha, span) - base))
@@ -252,18 +213,23 @@ def _moments(spec: PowerLawSpec):
 def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
     """Draw n continuous values by inverting the CDF (transformation method).
 
-    k = (k_min**(1-alpha) - u * (k_min**(1-alpha) - k_max**(1-alpha)))**(1/(1-alpha))
-    with u uniform on [0, 1).  Works for unbounded k_max (alpha > 1 keeps the
-    distribution itself normalizable even when its moments diverge).  A point
-    mass (k_min == k_max) gives k_min every time; a wider support on which
-    k**(1-alpha) is one float raises ``DegenerateSupportError``.
+    k = k_min * exp(log1p(u * expm1(t * span)) / t) with t = 1 - alpha and u
+    uniform on [0, 1).  Works for unbounded k_max (alpha > 1 keeps the
+    distribution itself normalizable even when its moments diverge), and a
+    point mass (k_min == k_max, span 0) gives k_min every time.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    lo, hi = _support_powers(spec)
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    return (lo - u * (lo - hi)) ** (1.0 / (1.0 - spec.alpha))
+    t = 1.0 - spec.alpha
+    # In place: a fresh array per step costs about as much as the arithmetic.
+    k = np.random.default_rng(seed).random(n)
+    k *= math.expm1(t * spec.span)
+    np.log1p(k, out=k)
+    k /= t
+    np.exp(k, out=k)
+    k *= spec.k_min
+    # Rounding can lift a draw with u within a few 2**-53 of 1 past k_max.
+    return np.minimum(k, spec.k_max, out=k)
 
 
 def round_degrees(spec: PowerLawSpec, values) -> np.ndarray:

@@ -15,13 +15,8 @@ from scipy.integrate import quad
 from ffparadox import fit, metrics, netgen, powerlaw
 from ffparadox.cli import run_experiment, run_sweep
 from ffparadox.netgen import Graph, Model
-from ffparadox.powerlaw import (
-    Branch,
-    PowerLawSpec,
-    _moments_at_alpha2,
-    _moments_at_alpha3,
-    _moments_general,
-)
+from ffparadox.powerlaw import Branch, PowerLawSpec
+from paper_forms import moments_at_alpha2, moments_at_alpha3, moments_general
 
 SEEDS = [0, 1, 2, 3, 4]
 KMAX_GRID = [10.0, 32.0, 100.0, 316.0, 1000.0]
@@ -92,11 +87,11 @@ def test_criterion_1_closed_form_vs_quadrature():
 def test_criterion_2_singularity_continuity():
     worst = 0.0
     for k_max in (10.0, 1000.0):
-        lim2 = assemble(*_moments_at_alpha2(1.0, k_max))
-        lim3 = assemble(*_moments_at_alpha3(1.0, k_max))
+        lim2 = assemble(*moments_at_alpha2(1.0, k_max))
+        lim3 = assemble(*moments_at_alpha3(1.0, k_max))
         for eps in (-1e-6, 1e-6):
-            gen2 = assemble(*_moments_general(2.0 + eps, 1.0, k_max))
-            gen3 = assemble(*_moments_general(3.0 + eps, 1.0, k_max))
+            gen2 = assemble(*moments_general(2.0 + eps, 1.0, k_max))
+            gen3 = assemble(*moments_general(3.0 + eps, 1.0, k_max))
             for limit, general in ((lim2, gen2), (lim3, gen3)):
                 for field in ("mean", "m2", "variance", "var_to_mean", "k_ff"):
                     rel = abs(general[field] - limit[field]) / abs(limit[field])

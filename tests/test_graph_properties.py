@@ -155,24 +155,39 @@ def test_efficiency_is_the_exact_distance_histogram(case, data):
     assert global_efficiency(relabelled) == value
 
 
-def test_analyze_repeats_are_byte_identical(tmp_path):
-    # A fragmented model-B graph, run in two fresh interpreters with
-    # different hash seeds.
-    seq = make_graphical(sample_degrees(PowerLawSpec(2.0, 1.0, 40.0), 400, 3), seed=1)
-    path = tmp_path / "b.txt"
-    write_edge_list(generate(seq, Model.B, seed=2), str(path))
+def fresh_runs(*args):
+    """stdout of ``ffparadox args`` in two fresh interpreters with different
+    hash seeds."""
     src = os.path.dirname(os.path.dirname(ffparadox.__file__))
-    outputs = [
+    return [
         subprocess.run(
-            [sys.executable, "-m", "ffparadox.cli", "analyze", str(path)],
+            [sys.executable, "-m", "ffparadox.cli", *args],
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
             capture_output=True,
             check=True,
         ).stdout
         for seed in ("1", "2")
     ]
+
+
+def test_analyze_repeats_are_byte_identical(tmp_path):
+    # A fragmented model-B graph.
+    seq = make_graphical(sample_degrees(PowerLawSpec(2.0, 1.0, 40.0), 400, 3), seed=1)
+    path = tmp_path / "b.txt"
+    write_edge_list(generate(seq, Model.B, seed=2), str(path))
+    outputs = fresh_runs("analyze", str(path))
     assert outputs[0] == outputs[1]
     assert b'"global_efficiency"' in outputs[0]
+
+
+@pytest.mark.parametrize("args, header", [
+    (("sweep", "--alphas", "1.2:3.0:0.2", "--kmaxs", "10,100,1000"), b"alpha,"),
+    (("experiment", "--n", "200", "--kmaxs", "100", "--seeds", "0"), b"kind,"),
+], ids=["sweep", "experiment"])
+def test_csv_repeats_are_byte_identical(args, header):
+    outputs = fresh_runs(*args)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(header)
 
 
 @no_deadline

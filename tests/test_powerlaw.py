@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,10 +25,8 @@ from ffparadox.powerlaw import (
     predict,
     sample_continuous,
     sample_degrees,
-    _moments_at_alpha2,
-    _moments_at_alpha3,
-    _moments_general,
 )
+from paper_forms import moments_at_alpha2, moments_at_alpha3, moments_general
 
 E = math.e
 
@@ -213,8 +211,6 @@ class TestPredict:
     @pytest.mark.parametrize("alpha, k_min, k_max", [
         (1.2, 1.0, 1e200),
         (1.01, 1.0, 1e200),
-        # k**(1 - alpha) rounds to 1 at both ends, so C divides by zero.
-        (1.0000000000000002, 4.0, 5.0),
     ])
     def test_non_finite_moments_are_divergent(self, alpha, k_min, k_max):
         with pytest.raises(DivergentError, match="not finite"):
@@ -254,8 +250,8 @@ def test_predict_is_finite_or_a_domain_error(alpha, k_min, width):
     assert r.k_ff >= r.mean_k
 
 
-def mp_moments(alpha, k_min, k_max):
-    """(mean, second moment, variance / mean) from the paper's closed forms
+def mp_closed_forms(alpha, k_min, k_max):
+    """(C, mean, second moment, variance / mean) from the paper's closed forms
     in 50-digit mpmath."""
     with mpmath.workdps(50):
         a, lo, hi = (mpmath.mpf(v) for v in (alpha, k_min, k_max))
@@ -267,7 +263,16 @@ def mp_moments(alpha, k_min, k_max):
 
         z = integral(-a)
         mean, m2 = integral(1 - a) / z, integral(2 - a) / z
-        return mean, m2, (m2 - mean * mean) / mean
+        return 1 / z, mean, m2, (m2 - mean * mean) / mean
+
+
+def mp_cdf(alpha, k_min, k_max, k):
+    """The paper's cdf (k**t - k_min**t) / (k_max**t - k_min**t), t = 1 - alpha,
+    in 50-digit mpmath; k_max**t is 0 for unbounded k_max."""
+    with mpmath.workdps(50):
+        t, lo, k = 1 - mpmath.mpf(alpha), mpmath.mpf(k_min), mpmath.mpf(k)
+        top = 0 if math.isinf(k_max) else mpmath.mpf(k_max) ** t
+        return (k**t - lo**t) / (top - lo**t)
 
 
 NEAR_POLES = st.builds(
@@ -278,37 +283,73 @@ NEAR_POLES = st.builds(
 )
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    st.floats(1.0, 6.0, exclude_min=True) | NEAR_POLES | st.sampled_from([2.0, 3.0]),
-    st.floats(1.0, 100.0),
-    st.floats(1.5, 1e12),
+ALPHAS = (
+    st.floats(1.0, 6.0, exclude_min=True) | NEAR_POLES | st.sampled_from([2.0, 3.0])
 )
+
+
+@settings(deadline=None, max_examples=300)
+@given(ALPHAS, st.floats(1.0, 100.0), st.floats(1.5, 1e12))
 def test_predict_matches_high_precision_closed_forms(alpha, k_min, ratio):
     k_max = k_min * ratio
-    # C is undefined in floats where k**(1 - alpha) is one value on the support
-    assume(k_min ** (1.0 - alpha) != k_max ** (1.0 - alpha))
     r = predict(PowerLawSpec(alpha, k_min, k_max))
-    mean, m2, var_to_mean = mp_moments(alpha, k_min, k_max)
+    c, mean, m2, var_to_mean = mp_closed_forms(alpha, k_min, k_max)
+    assert abs(r.c - c) <= 1e-13 * c
     assert abs(r.mean_k - mean) <= 1e-13 * mean
     assert abs(r.second_moment - m2) <= 1e-13 * m2
     assert abs(r.var_to_mean - var_to_mean) <= 1e-13 * m2 / mean
 
 
+@st.composite
+def supports(draw, min_width=1e-12, unbounded=True):
+    """(k_min, k_max): relative widths from ``min_width`` to 1e8, or unbounded."""
+    k_min = draw(st.floats(1.0, 1e3))
+    widths = st.floats(math.log10(min_width), 8.0).map(lambda e: 10.0**e)
+    width = draw(widths | st.just(INFINITE) if unbounded else widths)
+    return k_min, k_min * (1.0 + width)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ALPHAS, supports(), st.floats(0.0, 1.0))
+def test_cdf_matches_high_precision_closed_form(alpha, support, q):
+    k_min, k_max = support
+    k = k_min * 10.0 ** (8 * q) if math.isinf(k_max) else k_min + q * (k_max - k_min)
+    k = min(k, k_max)
+    want = mp_cdf(alpha, k_min, k_max, k)
+    assert abs(cdf(PowerLawSpec(alpha, k_min, k_max), k) - want) <= 1e-13 * want
+
+
+POINT_MASSES = st.floats(1.0, 1e3).map(lambda k: (k, k))
+
+
+# Bounded supports only: with alpha near 1 an unbounded draw can exceed the
+# float range.
+@settings(deadline=None, max_examples=300)
+@given(ALPHAS, supports(min_width=1e-16, unbounded=False) | POINT_MASSES,
+       st.integers(0, 2000), st.integers(0, 2**32 - 1))
+# Inverting the end powers put one draw above k_max here.
+@example(2.580675134293169, (30.402248025194247, 30.402248025440286), 20000, 51)
+def test_samples_lie_in_the_support(alpha, support, n, seed):
+    k_min, k_max = support
+    values = sample_continuous(PowerLawSpec(alpha, k_min, k_max), n, seed)
+    assert values.size == n
+    assert ((values >= k_min) & (values <= k_max)).all()
+
+
 class TestSingularityContinuity:
     def test_general_vs_limit_near_alpha2(self):
         for k_max in (10.0, 1000.0):
-            lim_mean, lim_m2 = _moments_at_alpha2(1.0, k_max)
+            lim_mean, lim_m2 = moments_at_alpha2(1.0, k_max)
             for alpha in (2.0 - 1e-6, 2.0 + 1e-6):
-                gen_mean, gen_m2 = _moments_general(alpha, 1.0, k_max)
+                gen_mean, gen_m2 = moments_general(alpha, 1.0, k_max)
                 assert abs(gen_mean - lim_mean) / lim_mean <= 1e-4
                 assert abs(gen_m2 - lim_m2) / lim_m2 <= 1e-4
 
     def test_general_vs_limit_near_alpha3(self):
         for k_max in (10.0, 1000.0):
-            lim_mean, lim_m2 = _moments_at_alpha3(1.0, k_max)
+            lim_mean, lim_m2 = moments_at_alpha3(1.0, k_max)
             for alpha in (3.0 - 1e-6, 3.0 + 1e-6):
-                gen_mean, gen_m2 = _moments_general(alpha, 1.0, k_max)
+                gen_mean, gen_m2 = moments_general(alpha, 1.0, k_max)
                 assert abs(gen_mean - lim_mean) / lim_mean <= 1e-4
                 assert abs(gen_m2 - lim_m2) / lim_m2 <= 1e-4
 
@@ -400,28 +441,48 @@ class TestSampling:
         with pytest.raises(DivergentError):
             sample_degrees(PowerLawSpec(4.0, 1.0, INFINITE), 10, 0)
 
+    def test_largest_uniform_draw_stays_in_the_support(self, monkeypatch):
+        # u = 1 - 2**-53, the largest value random() returns, lifts the
+        # inverse cdf on [15, 15.316] one ulp past k_max before clamping.
+        class Top:
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0**-53)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Top())
+        values = sample_continuous(PowerLawSpec(2.04, 15.0, 15.316), 3, 0)
+        assert (values == 15.316).all()
+
     def test_degenerate_sampling_is_constant(self):
         values = sample_degrees(PowerLawSpec(2.0, 5.0, 5.0), 50, 3)
         assert (values == 5).all()
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        # k**(1 - alpha) rounds to 1.0 at both ends of the support
-        PowerLawSpec(1.0 + 2.0**-52, 4.0, 5.0),
-        # k**(1 - alpha) underflows to 0.0 at both ends
-        PowerLawSpec(6.0, 1e300, INFINITE),
-    ],
-)
-def test_support_lost_to_rounding_is_degenerate(spec):
-    assert not spec.is_degenerate
-    for call in (
-        normalization_constant,
-        lambda s: pdf(s, 4.5),
-        lambda s: cdf(s, [4.5, 1e301]),
-        lambda s: sample_continuous(s, 5, 0),
-        lambda s: sample_degrees(s, 5, 0),
-    ):
-        with pytest.raises(DegenerateSupportError, match="at both k_min"):
+def test_alpha_within_rounding_of_one_is_answered():
+    # k**(1 - alpha) rounds to 1.0 at both ends of the support, yet C, the
+    # density, the cdf, sampling and the moments are all finite floats.
+    spec = PowerLawSpec(1.0 + 2.0**-52, 4.0, 5.0)
+    c, mean, m2, _ = mp_closed_forms(spec.alpha, spec.k_min, spec.k_max)
+    assert normalization_constant(spec) == pytest.approx(float(c), rel=1e-13)
+    density = c * mpmath.mpf(4.5) ** -spec.alpha
+    assert pdf(spec, 4.5) == pytest.approx(float(density), rel=1e-13)
+    want = float(mp_cdf(spec.alpha, spec.k_min, spec.k_max, 4.5))
+    np.testing.assert_allclose(cdf(spec, [4.5, 1e301]), [want, 1.0], rtol=1e-13)
+    values = sample_continuous(spec, 1000, 0)
+    assert ((values >= 4.0) & (values <= 5.0)).all()
+    assert set(sample_degrees(spec, 1000, 0)) == {4, 5}
+    r = predict(spec)
+    assert r.mean_k == pytest.approx(float(mean), rel=1e-13)
+    assert r.second_moment == pytest.approx(float(m2), rel=1e-13)
+
+
+def test_underflowing_end_powers_sample_but_have_no_float_c():
+    # k**(1 - alpha) underflows to 0.0 at both ends.  The cdf and the sampler
+    # work in span = ln(k / k_min); C = 5e1500 is not a float.
+    spec = PowerLawSpec(6.0, 1e300, INFINITE)
+    want = float(mp_cdf(6.0, 1e300, INFINITE, 1e301))
+    np.testing.assert_allclose(cdf(spec, [4.5, 1e301]), [0.0, want], rtol=1e-13)
+    values = sample_continuous(spec, 1000, 0)
+    assert np.isfinite(values).all() and (values >= 1e300).all()
+    for call in (normalization_constant, lambda s: pdf(s, 2e300)):
+        with pytest.raises(DivergentError, match="not finite"):
             call(spec)
