@@ -216,6 +216,16 @@ class TestPredict:
         with pytest.raises(DivergentError, match="not finite"):
             predict(PowerLawSpec(alpha, k_min, k_max))
 
+    def test_alpha_within_rounding_of_one_has_finite_moments(self):
+        # k**(1 - alpha) rounds to 1.0 at both ends of the support, yet C
+        # and the moments are finite floats.
+        spec = PowerLawSpec(1.0 + 2.0**-52, 4.0, 5.0)
+        c, mean, m2, _ = mp_closed_forms(spec.alpha, spec.k_min, spec.k_max)
+        r = predict(spec)
+        assert r.c == pytest.approx(float(c), rel=1e-13)
+        assert r.mean_k == pytest.approx(float(mean), rel=1e-13)
+        assert r.second_moment == pytest.approx(float(m2), rel=1e-13)
+
     # Values from the closed forms in 50-digit mpmath.  Each spec has a
     # power of k_max that overflows a float, and each was refused as
     # divergent while predict evaluated the closed forms directly.
@@ -459,9 +469,9 @@ class TestSampling:
 
 def test_alpha_within_rounding_of_one_is_answered():
     # k**(1 - alpha) rounds to 1.0 at both ends of the support, yet C, the
-    # density, the cdf, sampling and the moments are all finite floats.
+    # density, the cdf and sampling are all answered.
     spec = PowerLawSpec(1.0 + 2.0**-52, 4.0, 5.0)
-    c, mean, m2, _ = mp_closed_forms(spec.alpha, spec.k_min, spec.k_max)
+    c = mp_closed_forms(spec.alpha, spec.k_min, spec.k_max)[0]
     assert normalization_constant(spec) == pytest.approx(float(c), rel=1e-13)
     density = c * mpmath.mpf(4.5) ** -spec.alpha
     assert pdf(spec, 4.5) == pytest.approx(float(density), rel=1e-13)
@@ -470,9 +480,6 @@ def test_alpha_within_rounding_of_one_is_answered():
     values = sample_continuous(spec, 1000, 0)
     assert ((values >= 4.0) & (values <= 5.0)).all()
     assert set(sample_degrees(spec, 1000, 0)) == {4, 5}
-    r = predict(spec)
-    assert r.mean_k == pytest.approx(float(mean), rel=1e-13)
-    assert r.second_moment == pytest.approx(float(m2), rel=1e-13)
 
 
 def test_underflowing_end_powers_sample_but_have_no_float_c():
