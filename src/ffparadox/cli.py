@@ -95,14 +95,9 @@ def _target_sequence(spec: PowerLawSpec, n: int, seed: int):
     and ``_realize``, so a generated network is the one measured in the
     matching experiment cell.
     """
-    sample = powerlaw.sample_continuous(
-        spec, n, _sub_seed(seed, spec.k_max, _TAG_SAMPLE)
-    )
-    seq = netgen.make_graphical(
-        powerlaw.round_degrees(spec, sample),
-        seed=_sub_seed(seed, spec.k_max, _TAG_PARITY),
-    )
-    return sample, seq
+    k_max = spec.k_max
+    sample, seq = powerlaw.draw_degrees(spec, n, _sub_seed(seed, k_max, _TAG_SAMPLE))
+    return sample, netgen.make_graphical(seq, seed=_sub_seed(seed, k_max, _TAG_PARITY))
 
 
 def _realize(seq, seed: int, k_max: float, model: Model, block_size: int):

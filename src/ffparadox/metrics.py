@@ -63,24 +63,31 @@ class ParadoxStats:
     gap: float
 
 
+def _moment_sums(pairs):
+    """Sums of k * w and k * k * w over (degree k, weight w) pairs; for
+    Python-int k and w they are exact and never wrap."""
+    s1 = s2 = 0
+    for k, w in pairs:
+        if k < 0 or w < 0:
+            raise ValueError("degrees and frequencies must be non-negative")
+        s1 += k * w
+        s2 += k * k * w
+    return s1, s2
+
+
 def stats_from_degrees(seq) -> ParadoxStats:
     """Paradox statistics of a degree sequence.
 
     k_ff = sum(k^2) / sum(k) and the variance uses divisor n (population
-    form), which makes gap == variance / mean an exact identity.
+    form), which makes gap == variance / mean an exact identity.  Both sums
+    are exact integers, taken over the distinct degrees.
     """
     degrees = np.asarray(seq, dtype=np.int64)
     n = degrees.size
     if n == 0:
         raise ValueError("degree sequence must be nonempty")
-    if degrees.min() < 0:
-        raise ValueError("degrees must be non-negative")
-    s1 = int(degrees.sum())
-    dmax = int(degrees.max())
-    if float(dmax) ** 2 * n < 2**62:
-        s2 = int(np.dot(degrees, degrees))
-    else:
-        s2 = sum(int(d) ** 2 for d in degrees)
+    values, counts = np.unique(degrees, return_counts=True)
+    s1, s2 = _moment_sums(zip(values.tolist(), counts.tolist()))
     if s1 == 0:
         raise AllIsolatedError("all degrees are zero")
     mean = s1 / n
@@ -113,13 +120,7 @@ def kff_from_histogram(hist) -> float:
 
     Frequencies need not be normalized; only their ratios matter.
     """
-    s1 = 0
-    s2 = 0
-    for k, w in hist.items():
-        if k < 0 or w < 0:
-            raise ValueError("degrees and frequencies must be non-negative")
-        s1 += k * w
-        s2 += k * k * w
+    s1, s2 = _moment_sums(hist.items())
     if s1 == 0:
         raise AllIsolatedError("histogram has no mass on positive degrees")
     return s2 / s1

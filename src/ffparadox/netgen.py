@@ -53,12 +53,13 @@ _MAX_N = 3_037_000_499
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
-    ``edges`` is a read-only ``(m, 2)`` int64 array of the edges as
-    ``(u, v)`` with ``u < v``, sorted, so it is a canonical representation
-    and file output is bit-exact.  ``adjacency`` is the symmetric
-    ``scipy.sparse.csr_matrix`` of the graph (compressed sparse rows, unit
-    weights, sorted column indices): row ``v`` lists the neighbours of
-    ``v`` in ascending order.  Both are built once, by ``from_edges``.
+    Both fields read one sorted array built by ``from_edges``, the codes
+    ``row * n + column`` of both directions of every edge.  ``adjacency`` is
+    the symmetric ``scipy.sparse.csr_matrix`` of those entries (unit
+    weights, sorted column indices): row ``v`` lists the neighbours of ``v``
+    in ascending order.  ``edges`` is a read-only ``(m, 2)`` int64 array of
+    the upper entries ``(u, v)``, ``u < v``, in that order, so it is a
+    canonical representation and file output is bit-exact.
     """
 
     n: int
@@ -75,7 +76,7 @@ class Graph:
         orientation), or ``n`` above ``_MAX_N``.
         """
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        lo, hi = e.min(axis=1), e.max(axis=1)
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= min(n, _MAX_N)))
         if bad.size:
             i = int(bad[0])
@@ -87,24 +88,21 @@ class Graph:
             raise _EdgeError(f"vertex id out of range: ({u}, {v})", i)
         if n > _MAX_N:
             raise ValueError(f"{n} vertices exceed the limit of {_MAX_N}")
-        code = lo * n + hi
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        # A stable sort puts repeats after their first occurrence.
-        repeats = order[1:][code[1:] == code[:-1]]
-        if repeats.size:
-            i = int(repeats.min())
-            raise _EdgeError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", i)
-        canon = np.column_stack((lo[order], hi[order]))
-        canon.flags.writeable = False
-        # Both directions of every edge, sorted by (row, column), are the
-        # CSR column indices row by row.
-        both = np.concatenate((code, canon[:, 1] * n + canon[:, 0]))
+        # Both directions of every edge as codes row * n + column, sorted: the
+        # CSR entries row by row, in which a repeated edge is two equal
+        # neighbours and the upper ones (row < column) are the edges.
+        both = np.concatenate((lo * n + hi, hi * n + lo))
         both.sort()
+        if (both[1:] == both[:-1]).any():
+            repeat = np.ones(len(e), dtype=bool)
+            repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
+            i = int(repeat.argmax())  # the first edge that repeats an earlier one
+            raise _EdgeError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", i)
+        column = both % n
+        canon = np.column_stack(np.divmod(both[both < column * (n + 1)], n))
+        canon.flags.writeable = False
         indptr = np.searchsorted(both, np.arange(n + 1) * n)
-        adjacency = sparse.csr_matrix(
-            (np.ones(both.size), both % max(n, 1), indptr), shape=(n, n)
-        )
+        adjacency = sparse.csr_matrix((np.ones(both.size), column, indptr), shape=(n, n))
         return Graph(n=n, edges=canon, adjacency=adjacency)
 
     def degrees(self) -> np.ndarray:

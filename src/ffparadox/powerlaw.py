@@ -135,8 +135,9 @@ def cdf(spec: PowerLawSpec, k):
 
 def _assemble(c: float, mean: float, m2: float, branch: Branch) -> PredictionResult:
     # Clamp guards the k_ff >= mean_k invariant against rounding when the
-    # support is nearly degenerate; mathematically m2 >= mean**2 always.
-    variance = max(m2 - mean * mean, 0.0)
+    # support is nearly degenerate; mathematically m2 >= mean**2 always.  It
+    # also maps a point mass's inf - inf (k * k overflowed) to 0.
+    variance = max(0.0, m2 - mean * mean)
     var_to_mean = variance / mean
     k_ff = mean + var_to_mean
     return PredictionResult(
@@ -163,15 +164,7 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
     """
     if spec.is_degenerate:
         k = spec.k_min
-        return PredictionResult(
-            c=math.nan,
-            mean_k=k,
-            second_moment=k * k,
-            variance=0.0,
-            var_to_mean=0.0,
-            k_ff=k,
-            branch=Branch.DEGENERATE,
-        )
+        return _assemble(math.nan, k, k * k, Branch.DEGENERATE)
     if spec.is_infinite and spec.alpha <= 3.0:
         raise DivergentError(
             "mean or variance diverges for alpha <= 3 with unbounded k_max"
@@ -214,9 +207,11 @@ def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
     """Draw n continuous values by inverting the CDF (transformation method).
 
     k = k_min * exp(log1p(u * expm1(t * span)) / t) with t = 1 - alpha and u
-    uniform on [0, 1).  Works for unbounded k_max (alpha > 1 keeps the
-    distribution itself normalizable even when its moments diverge), and a
-    point mass (k_min == k_max, span 0) gives k_min every time.
+    uniform on [0, 1).  An unbounded k_max works while every draw is a
+    finite float (alpha > 1 keeps the distribution normalizable even when
+    its moments diverge); a draw past the float range, as alpha near 1
+    gives, raises ``DivergentError``.  A point mass (k_min == k_max, span 0)
+    gives k_min every time.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -226,27 +221,33 @@ def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
     k *= math.expm1(t * spec.span)
     np.log1p(k, out=k)
     k /= t
-    np.exp(k, out=k)
-    k *= spec.k_min
+    with np.errstate(over="ignore"):
+        np.exp(k, out=k)
+        k *= spec.k_min
     # Rounding can lift a draw with u within a few 2**-53 of 1 past k_max.
-    return np.minimum(k, spec.k_max, out=k)
+    np.minimum(k, spec.k_max, out=k)
+    if np.isinf(k).any():
+        raise DivergentError(
+            f"a draw exceeds the float range for alpha={spec.alpha}, "
+            f"k_min={spec.k_min}, k_max={spec.k_max}"
+        )
+    return k
 
 
-def round_degrees(spec: PowerLawSpec, values) -> np.ndarray:
-    """Continuous degree draws from ``spec`` rounded half-up to integers.
-
-    Requires finite k_max so the rounded values form a bounded sequence.
-    """
+def draw_degrees(spec: PowerLawSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``sample_continuous`` and the integer degrees rounded
+    half-up from them; an unbounded k_max, whose degrees would form no
+    bounded sequence, is refused before drawing."""
     if spec.is_infinite:
         raise DivergentError("degree sampling requires finite k_max")
-    return np.floor(np.asarray(values) + 0.5).astype(np.int64)
+    sample = sample_continuous(spec, n, seed)
+    return sample, np.floor(sample + 0.5).astype(np.int64)
 
 
 def sample_degrees(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
-    """Integer degree sequence: continuous draws rounded half-up to integers
-    (``round_degrees``).
+    """Integer degree sequence: the rounded draws of ``draw_degrees``.
 
     Deterministic for a fixed seed; every value lies within
     [round(k_min), round(k_max)].
     """
-    return round_degrees(spec, sample_continuous(spec, n, seed))
+    return draw_degrees(spec, n, seed)[1]

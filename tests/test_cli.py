@@ -365,6 +365,13 @@ class TestGenerateCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_unbounded_kmax_is_refused_before_drawing(self, capsys):
+        # Drawing at alpha 1.001 would overflow; nothing but the error shows.
+        code, out, err = run(capsys, "generate", "--alpha", "1.001", "--kmax", "inf",
+                             "--n", "200", "--seed", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestAnalyzeCommand:
     def test_star_metrics(self, capsys, tmp_path):

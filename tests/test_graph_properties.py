@@ -89,6 +89,10 @@ def test_adjacency_is_symmetric_sorted_and_loop_free(case):
     n, canon, edges = case
     a = Graph.from_edges(n, edges).adjacency
     assert a.shape == (n, n)
+    # Betweenness counts shortest paths with the unit weights.
+    assert a.data.dtype == np.float64 and (a.data == 1.0).all()
+    assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
+    assert a.has_sorted_indices
     assert (a != a.T).nnz == 0
     assert not a.diagonal().any()
     for v in range(n):

@@ -10,6 +10,8 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ffparadox.errors import AllIsolatedError, DomainError, TooManyPairsError
 from ffparadox.metrics import (
@@ -117,6 +119,25 @@ class TestStatsFromDegrees:
     def test_all_isolated(self):
         with pytest.raises(AllIsolatedError):
             stats_from_degrees([0, 0, 0])
+
+    def test_sums_past_int64_are_exact(self):
+        s = stats_from_degrees([2**62, 2**62])
+        assert s.mean_k == 2.0**62
+        assert s.second_moment == 2.0**124
+        assert s.k_ff == 2.0**62
+        assert s.variance == 0.0 and s.gap == 0.0
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2**62), min_size=1, max_size=40))
+    @example([2**62, 3, 2**62 - 1])  # k sum and k^2 sum both past int64
+    def test_sums_match_python_ints(self, degrees):
+        s1, s2 = sum(degrees), sum(d * d for d in degrees)
+        assume(s1 > 0)
+        s = stats_from_degrees(degrees)
+        assert s.mean_k == s1 / len(degrees)
+        assert s.second_moment == s2 / len(degrees)
+        assert s.k_ff == s2 / s1
+        assert kff_from_histogram(Counter(degrees)) == s2 / s1
 
     def test_gap_identity_and_paradox_inequality(self):
         rng = np.random.default_rng(42)

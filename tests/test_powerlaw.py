@@ -332,17 +332,23 @@ def test_cdf_matches_high_precision_closed_form(alpha, support, q):
 POINT_MASSES = st.floats(1.0, 1e3).map(lambda k: (k, k))
 
 
-# Bounded supports only: with alpha near 1 an unbounded draw can exceed the
-# float range.
+# With alpha near 1 an unbounded draw can exceed the float range, which
+# refuses the sample.
 @settings(deadline=None, max_examples=300)
-@given(ALPHAS, supports(min_width=1e-16, unbounded=False) | POINT_MASSES,
+@given(ALPHAS, supports(min_width=1e-16) | POINT_MASSES,
        st.integers(0, 2000), st.integers(0, 2**32 - 1))
 # Inverting the end powers put one draw above k_max here.
 @example(2.580675134293169, (30.402248025194247, 30.402248025440286), 20000, 51)
+@example(1.0 + 2.0**-52, (1.0, INFINITE), 1, 0)
 def test_samples_lie_in_the_support(alpha, support, n, seed):
     k_min, k_max = support
-    values = sample_continuous(PowerLawSpec(alpha, k_min, k_max), n, seed)
+    try:
+        values = sample_continuous(PowerLawSpec(alpha, k_min, k_max), n, seed)
+    except DivergentError:
+        assert math.isinf(k_max)
+        return
     assert values.size == n
+    assert np.isfinite(values).all()
     assert ((values >= k_min) & (values <= k_max)).all()
 
 
@@ -407,6 +413,11 @@ class TestMonotonicity:
 class TestSampling:
     def test_empty_sample(self):
         assert sample_degrees(PowerLawSpec(2.0, 1.0, 100.0), 0, 1).size == 0
+
+    def test_unbounded_degrees_are_refused_before_drawing(self):
+        # A draw from this spec would leave the float range.
+        with pytest.raises(DivergentError, match="finite k_max"):
+            sample_degrees(PowerLawSpec(1.0 + 2.0**-52, 1.0, INFINITE), 1, 0)
 
     def test_deterministic(self):
         spec = PowerLawSpec(2.0, 1.0, 1000.0)
