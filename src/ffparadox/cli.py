@@ -191,8 +191,8 @@ def run_experiment(
 
     Within a cell group (fixed k_max) the per-seed degree samples are shared
     by all models, the scaling parameter is fitted on the pre-rounding
-    continuous sample, and the predicted band spans the fitted values across
-    seeds.
+    continuous sample, and the predicted band spans the closed form at every
+    seed's fitted value (var_to_mean is not monotone in alpha).
     """
     if n < 100:
         raise UsageError("n must be at least 100")
@@ -220,7 +220,7 @@ def run_experiment(
         if fitted:
             band = [
                 powerlaw.predict(PowerLawSpec(a, k_min, k_max)).var_to_mean
-                for a in (min(fitted), max(fitted))
+                for a in fitted
             ]
             lo, hi = min(band), max(band)
         else:

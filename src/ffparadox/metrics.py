@@ -120,7 +120,9 @@ def kff_from_histogram(hist) -> float:
 
     Frequencies need not be normalized; only their ratios matter.
     """
-    s1, s2 = _moment_sums(hist.items())
+    # Numpy integer keys or weights would wrap in int64; Python ints never do.
+    s1, s2 = _moment_sums((np.asarray(k).item(), np.asarray(w).item())
+                          for k, w in hist.items())
     if s1 == 0:
         raise AllIsolatedError("histogram has no mass on positive degrees")
     return s2 / s1

@@ -68,8 +68,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build the graph from ``(u, v)`` pairs in any order and orientation,
-        given as pairs or as one flat array of ids ``u0, v0, u1, v1, ...``.
+        """Build the graph from ``(u, v)`` pairs in any order and orientation.
 
         Raises ``ValueError`` for a self-loop, a vertex id outside
         ``[0, n)`` or at least ``_MAX_N``, an edge given twice (in either
@@ -379,7 +378,7 @@ def drop_report(g: Graph, seq) -> DropReport:
         raise ValueError("sequence length does not match vertex count")
     realized = g.degrees()
     diff = degrees - realized
-    return DropReport(per_vertex=tuple(int(d) for d in diff), total=int(diff.sum()))
+    return DropReport(per_vertex=tuple(diff.tolist()), total=int(diff.sum()))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -399,53 +398,49 @@ def write_edge_list(g: Graph, path):
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file; vertex count is max id + 1.
 
+    The file is opened and read once, so a pipe such as ``/dev/stdin`` works.
+    One ``np.loadtxt`` pass parses its text; text that pass declines, or
+    whose edges ``Graph.from_edges`` refuses, is parsed again line by line.
     Malformed lines and ids outside int64, then self-loops, negative ids,
     ids of ``_MAX_N`` or more and duplicate edges (in either orientation,
     checked by ``Graph.from_edges``) are rejected with their line number.
     """
-    edges = _load_pairs(path)
-    if edges is not None:
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    edges = None
+    if text.strip():  # loadtxt warns on empty input
+        try:
+            edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if edges is not None and edges.shape[1] == 2:
         try:
             return Graph.from_edges(int(edges.max()) + 1, edges)
         except _EdgeError:
             pass  # parsed again below, line by line, to name the line
-    ids = []
+    pairs = []
     linenos = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: vertex ids must be integers, got {line.strip()!r}"
-                ) from None
-            if not -(2**63) <= min(u, v) <= max(u, v) < 2**63:
-                raise ValueError(f"line {lineno}: id outside int64 in {line.strip()!r}")
-            ids += (u, v)
-            linenos.append(lineno)
-    edges = np.array(ids, dtype=np.int64)
+    # ``open`` has translated "\r\n" and "\r"; str.splitlines would also
+    # break at "\v", "\f" and "\x1c"-"\x1e", which split() treats as blanks.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: vertex ids must be integers, got {line.strip()!r}"
+            ) from None
+        if not -(2**63) <= min(u, v) <= max(u, v) < 2**63:
+            raise ValueError(f"line {lineno}: id outside int64 in {line.strip()!r}")
+        pairs.append((u, v))
+        linenos.append(lineno)
+    edges = np.array(pairs, dtype=np.int64)
     n = int(edges.max()) + 1 if edges.size else 0
     try:
         return Graph.from_edges(n, edges)
     except _EdgeError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
-
-
-def _load_pairs(path):
-    """The ``(m, 2)`` ids of a file whose nonblank lines all hold two int64
-    ids, parsed in one pass; None for any other file, blank ones included,
-    which ``read_edge_list`` parses line by line."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-        if not text.strip():
-            return None  # loadtxt warns on empty input
-        edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return edges if edges.shape[1] == 2 else None

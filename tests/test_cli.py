@@ -2,20 +2,38 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffparadox.cli import _parse_values, main, run_sweep
+import ffparadox
+from ffparadox import powerlaw
+from ffparadox.cli import _parse_values, main, run_experiment, run_sweep
 from ffparadox.metrics import stats_from_degrees
+from ffparadox.netgen import Model
+from ffparadox.powerlaw import PowerLawSpec
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_piped(text, *argv):
+    """``ffparadox argv`` in a fresh interpreter with ``text`` on a stdin pipe."""
+    src = os.path.dirname(os.path.dirname(ffparadox.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "ffparadox.cli", *argv],
+        input=text.encode("ascii"),
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+    )
 
 
 class TestPredictCommand:
@@ -290,6 +308,14 @@ class TestExperimentCommand:
         ]
 
 
+    @pytest.mark.parametrize("k_max", [100.0, 1000.0])
+    def test_band_holds_every_fitted_ratio(self, k_max):
+        # var_to_mean peaks near alpha 1.15, inside the fitted exponents
+        rows = run_experiment(1.15, 1.0, [k_max], 1000, [Model.A], list(range(8)))
+        for row in rows:
+            ratio = powerlaw.predict(PowerLawSpec(row.alpha_hat, 1.0, k_max)).var_to_mean
+            assert row.predicted_lo <= ratio <= row.predicted_hi
+
     def test_point_mass_cells_carry_no_maximum(self, capsys):
         # on k_min == k_max the likelihood does not depend on alpha; the
         # 5-regular graph is still realized and measured
@@ -414,6 +440,29 @@ class TestAnalyzeCommand:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_non_ascii_byte_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1\n1 \xe9\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_piped_duplicate_edge_reports_line(self):
+        done = run_piped("0 1\n1 2\n1 0\n", "analyze", "/dev/stdin")
+        assert done.returncode == 2
+        assert done.stderr == b"error: line 3: duplicate edge (0, 1)\n"
+
+    def test_piped_file_parsed_line_by_line(self, capsys, tmp_path):
+        text = "0 1\n1_000 0\n1 2\n2 0\n"  # loadtxt declines "1_000"
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        _, by_path, _ = run(capsys, "analyze", str(path))
+        done = run_piped(text, "analyze", "/dev/stdin")
+        assert done.returncode == 0
+        assert json.loads(by_path)["n"] == 1001
+        assert done.stdout.decode() == by_path
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "analyze", str(tmp_path / "nope.txt"))

@@ -194,6 +194,13 @@ class TestKffFromHistogram:
         with pytest.raises(AllIsolatedError):
             kff_from_histogram({0: 10})
 
+    def test_numpy_keys_do_not_wrap(self):
+        hist = Counter(np.array([2**62, 2**62, 3]))
+        assert kff_from_histogram(hist) == (2 * 2**124 + 9) / (2 * 2**62 + 3)
+
+    def test_float_weights(self):
+        assert kff_from_histogram({1: 0.5, 3: np.float64(0.25)}) == 2.75 / 1.25
+
 
 class TestComponents:
     def test_triangle(self):

@@ -210,6 +210,13 @@ class TestDropReport:
         report = drop_report(g, seq)
         assert report.total == int(seq.sum()) - 2 * len(g.edges)
 
+    def test_entries_are_python_ints(self):
+        seq = powerlaw_sequence(300, 25, sample_seed=9)
+        g = generate(seq, Model.B, seed=2)
+        per_vertex = drop_report(g, seq).per_vertex
+        assert all(type(d) is int for d in per_vertex)
+        assert list(per_vertex) == (seq - g.degrees()).tolist()
+
 
 class TestEdgeListIO:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -271,8 +278,10 @@ class TestEdgeListIO:
             ("0 1\n\n  \n2 1\n", 3, [[0, 1], [1, 2]]),
             ("", 0, []),
             ("\n  \n\t\n", 0, []),
+            ("0 1\n2\x0c3\n", 4, [[0, 1], [2, 3]]),
         ],
-        ids=["crlf", "tabs", "plus-underscore", "blank-lines", "empty", "blank-only"],
+        ids=["crlf", "tabs", "plus-underscore", "blank-lines", "empty", "blank-only",
+             "form-feed"],
     )
     def test_accepted_text(self, tmp_path, text, n, edges):
         path = tmp_path / "g.txt"
@@ -291,8 +300,10 @@ class TestEdgeListIO:
             ("0 1\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
             ("0 1\r\n\r\n1 0\r\n", "line 3: duplicate edge (0, 1)"),
             ("0 1\n\n3 3\n", "line 3: self-loop at vertex 3"),
+            ("0 1\n1\x0c0\n", "line 2: duplicate edge (0, 1)"),
         ],
-        ids=["comment", "three-fields", "duplicate-after-blank", "loop-after-blank"],
+        ids=["comment", "three-fields", "duplicate-after-blank", "loop-after-blank",
+             "form-feed-duplicate"],
     )
     def test_rejected_text_names_its_line(self, tmp_path, text, message):
         path = tmp_path / "g.txt"
