@@ -307,8 +307,6 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep(args) -> int:
     alphas = _parse_values(args.alphas, "--alphas")
     kmaxs = _parse_values(args.kmaxs, "--kmaxs")
-    if args.kmin < 1:
-        raise UsageError("--kmin must be >= 1")
     if (count := len(alphas) * len(kmaxs)) > 10**6:
         raise UsageError(f"--alphas x --kmaxs gives {count} rows, more than 10^6")
     rows = run_sweep(alphas, kmaxs, args.kmin)
@@ -346,15 +344,9 @@ def _cmd_generate(args) -> int:
     model = Model(args.model)
     _, seq = _target_sequence(spec, args.n, args.seed)
     g = _realize(seq, args.seed, spec.k_max, model, args.block_size)
-    if args.out:
-        netgen.write_edge_list(g, args.out)
-        report = netgen.drop_report(g, seq)
-        sys.stderr.write(
-            f"wrote {len(g.edges)} edges on {g.n} vertices to {args.out} "
-            f"({report.total} stubs dropped)\n"
-        )
-    else:
-        sys.stdout.write(netgen.format_edge_list(g))
+    _emit(netgen.format_edge_list(g), args.out)
+    dropped = int(seq.sum()) - 2 * len(g.edges)
+    sys.stderr.write(f"{len(g.edges)} edges on {g.n} vertices ({dropped} stubs dropped)\n")
     return 0
 
 

@@ -79,8 +79,10 @@ def stats_from_degrees(seq) -> ParadoxStats:
     """Paradox statistics of a degree sequence.
 
     k_ff = sum(k^2) / sum(k) and the variance uses divisor n (population
-    form), which makes gap == variance / mean an exact identity.  Both sums
-    are exact integers, taken over the distinct degrees.
+    form).  The sums are exact integers over the distinct degrees, and so is
+    n * sum(k^2) - sum(k)^2 >= 0; divided by n^2 and by n * sum(k) it gives
+    the variance and the gap, so gap == variance / mean up to one rounding
+    per field.
     """
     degrees = np.asarray(seq, dtype=np.int64)
     n = degrees.size
@@ -90,17 +92,14 @@ def stats_from_degrees(seq) -> ParadoxStats:
     s1, s2 = _moment_sums(zip(values.tolist(), counts.tolist()))
     if s1 == 0:
         raise AllIsolatedError("all degrees are zero")
-    mean = s1 / n
-    m2 = s2 / n
-    k_ff = s2 / s1
-    variance = max(m2 - mean * mean, 0.0)
+    spread = n * s2 - s1 * s1
     return ParadoxStats(
         n=n,
-        mean_k=mean,
-        second_moment=m2,
-        variance=variance,
-        k_ff=k_ff,
-        gap=k_ff - mean,
+        mean_k=s1 / n,
+        second_moment=s2 / n,
+        variance=spread / (n * n),
+        k_ff=s2 / s1,
+        gap=spread / (n * s1),
     )
 
 

@@ -47,6 +47,9 @@ class _EdgeError(ValueError):
 
 # The largest vertex count whose edge codes lo * n + hi fit in int64.
 _MAX_N = 3_037_000_499
+# The most vertices an edge-list file may imply, at about 100 bytes per id
+# in ``analyze``: ten times the largest generated graphs (n = 10^6).
+_MAX_FILE_N = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,14 +399,16 @@ def write_edge_list(g: Graph, path):
 
 
 def read_edge_list(path) -> Graph:
-    """Parse an edge-list file; vertex count is max id + 1.
+    """Parse an edge-list file; vertex count is max id + 1, at most
+    ``_MAX_FILE_N``.
 
     The file is opened and read once, so a pipe such as ``/dev/stdin`` works.
     One ``np.loadtxt`` pass parses its text; text that pass declines, or
     whose edges ``Graph.from_edges`` refuses, is parsed again line by line.
     Malformed lines and ids outside int64, then self-loops, negative ids,
-    ids of ``_MAX_N`` or more and duplicate edges (in either orientation,
-    checked by ``Graph.from_edges``) are rejected with their line number.
+    ids of ``_MAX_FILE_N`` or more and duplicate edges (in either
+    orientation, checked by ``Graph.from_edges`` before any per-vertex array
+    is built) are rejected with their line number.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -415,7 +420,7 @@ def read_edge_list(path) -> Graph:
             pass
     if edges is not None and edges.shape[1] == 2:
         try:
-            return Graph.from_edges(int(edges.max()) + 1, edges)
+            return Graph.from_edges(min(int(edges.max()) + 1, _MAX_FILE_N), edges)
         except _EdgeError:
             pass  # parsed again below, line by line, to name the line
     pairs = []
@@ -441,6 +446,6 @@ def read_edge_list(path) -> Graph:
     edges = np.array(pairs, dtype=np.int64)
     n = int(edges.max()) + 1 if edges.size else 0
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(min(n, _MAX_FILE_N), edges)
     except _EdgeError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None

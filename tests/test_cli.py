@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +167,14 @@ class TestSweepCommand:
         assert err == (
             "usage error: --alphas x --kmaxs gives 1001000 rows, more than 10^6\n"
         )
+
+    def test_kmin_below_one_is_domain_error(self, capsys):
+        # checked by PowerLawSpec, as in predict, experiment and generate
+        code, out, err = run(capsys, "sweep", "--alphas", "2", "--kmaxs", "10",
+                             "--kmin", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k_min must be finite and >= 1, got 0.5\n"
 
     def test_range_of_a_million_values_is_accepted(self):
         values = _parse_values("0:999999:1", "--alphas")
@@ -354,6 +364,18 @@ class TestGenerateCommand:
         assert code == 0
         assert all(len(line.split()) == 2 for line in out.strip().split("\n"))
 
+    def test_dropped_stubs_reported_in_both_output_modes(self, capsys, tmp_path):
+        args = ["generate", "--kmax", "100", "--n", "2000", "--model", "B",
+                "--seed", "3"]
+        path = tmp_path / "g.txt"
+        _, to_stdout, stdout_err = run(capsys, *args)
+        _, to_file, file_err = run(capsys, *args, "--out", str(path))
+        assert to_file == "" and path.read_text() == to_stdout
+        edges = to_stdout.count("\n")
+        assert stdout_err == file_err == (
+            f"{edges} edges on 2000 vertices (10 stubs dropped)\n"
+        )
+
     @pytest.mark.parametrize("block_size", ["0", "-3"])
     def test_non_positive_block_size_is_usage_error(self, capsys, tmp_path,
                                                     block_size):
@@ -371,10 +393,12 @@ class TestGenerateCommand:
         # cell with the same seed, k_max, model and n
         n, seed, kmax = 500, 3, "32"
         path = tmp_path / "g.txt"
-        code, _, _ = run(capsys, "generate", "--kmax", kmax, "--n", str(n),
-                         "--model", model, "--seed", str(seed),
-                         "--out", str(path))
+        code, _, err = run(capsys, "generate", "--kmax", kmax, "--n", str(n),
+                           "--model", model, "--seed", str(seed),
+                           "--out", str(path))
         assert code == 0
+        report = re.fullmatch(r"\d+ edges on 500 vertices \((\d+) stubs dropped\)\n",
+                              err)
         ids = np.array(path.read_text().split(), dtype=np.int64)
         stats = stats_from_degrees(np.bincount(ids, minlength=n))
         _, out, _ = run(capsys, "experiment", "--kmaxs", kmax, "--n", str(n),
@@ -384,6 +408,7 @@ class TestGenerateCommand:
         assert row["kind"] == "cell" and row["error"] == ""
         assert float(row["empirical_mean"]) == stats.mean_k
         assert float(row["empirical_variance"]) == stats.variance
+        assert row["dropped_stubs"] == report[1]  # 2 under model B
 
     def test_infinite_kmax_is_domain_error(self, capsys):
         code, _, err = run(capsys, "generate", "--kmax", "inf", "--n", "200",
@@ -477,12 +502,17 @@ class TestAnalyzeCommand:
         assert payload["fit"] == {"error": "NO_MAXIMUM"}
 
     @pytest.mark.parametrize(
-        "big_id", ["4000000000", "9223372036854775807", "99999999999999999999"]
+        "big_id",
+        ["10000000", "4000000000", "9223372036854775807", "99999999999999999999"],
     )
     def test_id_too_large_is_domain_error(self, capsys, tmp_path, big_id):
+        # Refused from the edges alone: id 10^7 would already cost about 1 GB
+        # of per-vertex arrays.
         path = tmp_path / "big.txt"
         path.write_text(f"0 1\n1 {big_id}\n")
+        start = time.perf_counter()
         code, out, err = run(capsys, "analyze", str(path))
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 2: ") and err.count("\n") == 1

@@ -33,7 +33,7 @@ from ffparadox.netgen import (
     write_edge_list,
 )
 from ffparadox.powerlaw import PowerLawSpec, sample_degrees
-from test_metrics import distance_histogram_efficiency
+from test_metrics import distance_counts, distance_histogram_efficiency
 
 # The first scipy call of a process can exceed hypothesis's default deadline.
 no_deadline = settings(deadline=None)
@@ -264,6 +264,23 @@ def test_generate_realizes_a_simple_subgraph_of_the_target(
     assert drop_report(g, seq).total == int(seq.sum()) - 2 * len(g.edges)
     again = generate(seq, model, seed, block_size=block_size)
     assert np.array_equal(again.edges, g.edges)
+
+
+@no_deadline
+@given(
+    st.one_of(
+        multi_component_graphs(max_block=30).map(lambda case: Graph.from_edges(*case)),
+        st.builds(generate, degree_sequences(max_n=80), st.sampled_from(list(Model)),
+                  st.integers(0, 2**32 - 1)),
+    )
+)
+def test_betweenness_sums_the_inner_vertices_of_shortest_paths(g):
+    # Every shortest path from s to t has d(s, t) - 1 inner vertices, so the
+    # betweenness total is half the sum of N_k (k - 1) over the counts N_k of
+    # ordered pairs at distance k, taken here from networkx's distances.
+    counts = distance_counts(g)
+    inner = sum(count * (k - 1) for k, count in counts.items())
+    assert betweenness(g).sum() == pytest.approx(inner / 2, rel=1e-12)
 
 
 @no_deadline

@@ -7,6 +7,7 @@ every shortest path for betweenness.
 
 import math
 from collections import Counter, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,23 @@ class TestStatsFromDegrees:
         assert s.second_moment == s2 / len(degrees)
         assert s.k_ff == s2 / s1
         assert kff_from_histogram(Counter(degrees)) == s2 / s1
+
+    def test_near_equal_large_degrees_keep_their_spread(self):
+        # sum(k^2)/n - mean^2 cancels to 0.0 in floats; the exact spread
+        # n * s2 - s1^2 = 1 gives 1/4 and 1 / (2 * (2 * 10^8 + 1)).
+        s = stats_from_degrees([10**8, 10**8 + 1])
+        assert s.variance == 0.25
+        assert s.gap == 2.4999999875000003e-09
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2**62), min_size=1, max_size=40))
+    @example([1000] * 3 + [1001] * 5)  # k_ff - mean is off in the last digits
+    def test_variance_and_gap_are_correctly_rounded(self, degrees):
+        n, s1, s2 = len(degrees), sum(degrees), sum(d * d for d in degrees)
+        assume(s1 > 0)
+        s = stats_from_degrees(degrees)
+        assert s.variance == float(Fraction(n * s2 - s1 * s1, n * n))
+        assert s.gap == float(Fraction(n * s2 - s1 * s1, n * s1))
 
     def test_gap_identity_and_paradox_inequality(self):
         rng = np.random.default_rng(42)
@@ -312,20 +330,25 @@ def assert_matches_networkx(g):
     )
 
 
-def distance_histogram_efficiency(g):
-    """Global efficiency from networkx distances: N_k / k summed with k
-    ascending over n(n - 1), where N_k counts the ordered pairs at hop
-    distance k."""
+def distance_counts(g):
+    """N_k, the number of ordered vertex pairs at hop distance k >= 1, from
+    networkx distances."""
     nx = pytest.importorskip("networkx")
     reference = nx.Graph()
     reference.add_nodes_from(range(g.n))
     reference.add_edges_from(g.edges.tolist())
-    counts = Counter(
+    return Counter(
         d
         for _, lengths in nx.all_pairs_shortest_path_length(reference)
         for d in lengths.values()
         if d
     )
+
+
+def distance_histogram_efficiency(g):
+    """Global efficiency from networkx distances: N_k / k summed with k
+    ascending over n(n - 1)."""
+    counts = distance_counts(g)
     return sum(counts[k] / k for k in sorted(counts)) / (g.n * (g.n - 1))
 
 
