@@ -95,6 +95,8 @@ def _target_sequence(spec: PowerLawSpec, n: int, seed: int):
     and ``_realize``, so a generated network is the one measured in the
     matching experiment cell.
     """
+    if n > netgen._MAX_FILE_N:
+        raise DomainError(f"n = {n} exceeds the limit of {netgen._MAX_FILE_N} vertices")
     k_max = spec.k_max
     sample, seq = powerlaw.draw_degrees(spec, n, _sub_seed(seed, k_max, _TAG_SAMPLE))
     return sample, netgen.make_graphical(seq, seed=_sub_seed(seed, k_max, _TAG_PARITY))

@@ -1,10 +1,8 @@
-"""Estimate the power-law scaling parameter from observed degree data.
-
-Two routes are provided: maximum likelihood on raw observations (continuous
-truncated model), and inversion of a single observed moment (mean, variance,
-or variance-to-mean ratio) against the closed-form predictions.  Every search
-runs through one bisection, ``_bisect``.  The likelihood score and the
-predicted moments are regular at every alpha, so each root is a single point.
+"""Estimate the power-law scaling parameter from observed degree data: by
+maximum likelihood on raw observations (continuous truncated model), or by
+inverting one observed moment (mean, variance or variance-to-mean ratio)
+against the closed-form predictions.  The likelihood score and the moments'
+slopes are exact in (ln E)' from ``powerlaw``; every search is one ``_bisect``.
 """
 
 from __future__ import annotations
@@ -69,21 +67,6 @@ def _bisect(before, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _mean_log_k(spec: powerlaw.PowerLawSpec) -> float:
-    """Model expectation of ln(k) for finite k_max, i.e. d/d_alpha of ln C.
-
-    The likelihood score is n * (E[ln k] - mean(ln k_obs)).  With
-    span = ln(k_max / k_min) and x = (alpha - 1) * span, E[ln k] =
-    ln k_min + span * (1/x - 1/expm1(x)); below x = 0.05, where those terms
-    cancel, the bracket is its Taylor series (next term < 2e-15 relative).
-    """
-    span = spec.span
-    x = (spec.alpha - 1.0) * span
-    if x < 0.05:
-        return math.log(spec.k_min) + span * (0.5 - x / 12 + x**3 / 720 - x**5 / 30240)
-    return math.log(spec.k_min) + span * (1.0 / x - math.exp(-x) / -math.expm1(-x))
-
-
 def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitResult:
     """Continuous truncated maximum-likelihood estimate of alpha.
 
@@ -107,9 +90,8 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
     if n < 2:
         raise TooFewPointsError(f"need at least 2 observations in range, got {n}")
 
-    mean_log = float(np.log(tail).mean())
+    shifted = float(np.log(tail).mean()) - math.log(k_min)
     if math.isinf(k_max):
-        shifted = mean_log - math.log(k_min)
         if shifted <= 0.0:
             raise NoMaximumError("likelihood is monotone: all observations at k_min")
         alpha_hat = 1.0 + 1.0 / shifted
@@ -121,8 +103,10 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
         if k_min == k_max:
             raise NoMaximumError("likelihood does not depend on alpha: k_min == k_max")
 
+        span = powerlaw.PowerLawSpec(ALPHA_LO, k_min, k_max).span
+
         def score(a):
-            return _mean_log_k(powerlaw.PowerLawSpec(a, k_min, k_max)) - mean_log
+            return powerlaw._log_e_slope(1.0 - a, span) - shifted
 
         # The log-likelihood is concave in alpha, so a score without a sign
         # change means it is monotone on the whole bracket.
@@ -144,22 +128,23 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
     )
 
 
-def _peak_alpha(moment) -> float:
-    """Maximizer of ``moment(alpha)`` over the bracket.
+def _peak_alpha(which: Moment, k_min: float, k_max: float) -> float:
+    """Maximizer over the bracket of the predicted moment ``which``: the lower
+    edge, or where its slope turns negative, as the variance-to-mean ratio's
+    does near alpha = 7/6.  With L = (ln E)', d ln<k>/d alpha = L(1 - alpha) -
+    L(2 - alpha) and d ln<k_FF>/d alpha = L(2 - alpha) - L(3 - alpha), exactly."""
+    span = powerlaw.PowerLawSpec(ALPHA_LO, k_min, k_max).span
 
-    The mean and variance peak at the lower bracket edge, but the
-    variance-to-mean ratio has a shallow interior maximum near alpha ~ 1.15
-    for finite supports; bisection must run on the decreasing branch to its
-    right.  A grid brackets the peak, then bisection finds where a central
-    difference changes sign; both guard against the cancellation noise of
-    narrow supports, whose peak a step of 1e-7 puts 0.015 off.
-    """
-    grid = np.linspace(ALPHA_LO, ALPHA_HI, 128)
-    i = int(np.argmax([moment(float(a)) for a in grid]))
-    if i == 0:
-        return ALPHA_LO
-    lo, hi = float(grid[i - 1]), float(grid[min(i + 1, grid.size - 1)])
-    return _bisect(lambda a: moment(a + 1e-4) > moment(a - 1e-4), lo, hi, 1e-9)
+    def rising(a):
+        p = powerlaw.predict(powerlaw.PowerLawSpec(a, k_min, k_max))
+        l1, l2, l3 = (powerlaw._log_e_slope(j - a, span) for j in (1.0, 2.0, 3.0))
+        d_mean = p.mean_k * (l1 - l2)
+        d_ratio = p.k_ff * (l2 - l3) - d_mean
+        slope = {Moment.MEAN: d_mean, Moment.VAR_TO_MEAN: d_ratio,
+                 Moment.VARIANCE: p.var_to_mean * d_mean + p.mean_k * d_ratio}
+        return slope[which] > 0.0
+
+    return _bisect(rising, ALPHA_LO, ALPHA_HI, 1e-9) if rising(ALPHA_LO) else ALPHA_LO
 
 
 def alpha_from_moment(
@@ -169,8 +154,8 @@ def alpha_from_moment(
     moment equals ``observed``, found by bisection to |delta alpha| <= 1e-8.
 
     The moments decrease in alpha except for a shallow variance-to-mean
-    maximum near the lower bracket edge; inversion solves on the decreasing
-    branch (the usual scale-free regime), verified at its endpoints first.
+    maximum near alpha = 7/6; inversion solves on the decreasing branch to
+    its right (the usual scale-free regime), verified at its endpoints first.
     """
     which = Moment(which)
     if math.isinf(k_max):
@@ -182,7 +167,7 @@ def alpha_from_moment(
         result = powerlaw.predict(powerlaw.PowerLawSpec(a, k_min, k_max))
         return getattr(result, _MOMENT_FIELDS[which])
 
-    lo, hi = _peak_alpha(moment), ALPHA_HI
+    lo, hi = _peak_alpha(which, k_min, k_max), ALPHA_HI
     m_lo, m_hi = moment(lo), moment(hi)
     if not m_lo > m_hi:
         raise NonMonotoneError(

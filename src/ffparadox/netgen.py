@@ -47,8 +47,9 @@ class _EdgeError(ValueError):
 
 # The largest vertex count whose edge codes lo * n + hi fit in int64.
 _MAX_N = 3_037_000_499
-# The most vertices an edge-list file may imply, at about 100 bytes per id
-# in ``analyze``: ten times the largest generated graphs (n = 10^6).
+# The most vertices an edge-list file may imply (about 100 bytes per id in
+# ``analyze``), and the largest n that ``generate`` and ``experiment`` take:
+# ten times the largest graphs generated in practice (n = 10^6).
 _MAX_FILE_N = 10**7
 
 

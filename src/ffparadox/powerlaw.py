@@ -190,6 +190,18 @@ def _log_e(t: float, span: float) -> float:
     return math.log(math.expm1(x) / t if t else span)
 
 
+def _log_e_slope(t: float, span: float) -> float:
+    """(ln E)'(t) = span * (1/x - 1/expm1(x)), x = -t * span: the model mean of
+    ln(k / k_min) at alpha = 1 - t, finite for every finite x.  Below |x| =
+    0.05, where the terms cancel, it is their Taylor series (next < 2e-15)."""
+    x = -t * span
+    if abs(x) < 0.05:
+        return span * (0.5 - x / 12 + x**3 / 720 - x**5 / 30240)
+    if x > 0.0:
+        return span * (1.0 / x - math.exp(-x) / -math.expm1(-x))
+    return span * (1.0 / x - 1.0 / math.expm1(x))
+
+
 def _moments(spec: PowerLawSpec):
     """(mean, second moment, branch) of a spec with a non-degenerate support."""
     span = spec.span

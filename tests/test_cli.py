@@ -424,6 +424,19 @@ class TestGenerateCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+# Both commands derive their graphs through one seed-to-graph path, which
+# refuses a vertex count above the edge-list limit before drawing anything.
+@pytest.mark.parametrize("command", [
+    ["generate", "--kmax", "100", "--seed", "1"], ["experiment", "--seeds", "0"],
+])
+def test_n_above_the_vertex_limit_is_refused_before_drawing(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--n", "10000001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: n = 10000001 exceeds the limit of 10000000 vertices\n"
+
+
 class TestAnalyzeCommand:
     def test_star_metrics(self, capsys, tmp_path):
         path = tmp_path / "star.txt"

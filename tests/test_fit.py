@@ -179,10 +179,32 @@ class TestAlphaFromMoment:
     def test_variance_to_mean_peak_on_a_narrow_support(self):
         # On [280, 302] the ratio is nearly flat and its closed form noisy;
         # the peak 1.16666498 is from 40-digit quadrature (mpmath).
-        def moment(a):
-            return predict(PowerLawSpec(a, 280.0, 302.0)).var_to_mean
+        peak = fit._peak_alpha(Moment.VAR_TO_MEAN, 280.0, 302.0)
+        assert abs(peak - 1.16666498) <= 5e-5
 
-        assert abs(fit._peak_alpha(moment) - 1.16666498) <= 5e-5
+    # Maximizers of the closed-form ratio in 60-digit mpmath (root of its
+    # derivative).  The slopes of the narrowest support cancel to about 1e-5.
+    @pytest.mark.parametrize("k_min, k_max, want, tol", [
+        (1.0, 10.0, 1.16484575673514, 1e-6),
+        (1.0, 1000.0, 1.14390797106564, 1e-6),
+        (2.0, 50.0, 1.16273235238879, 1e-6),
+        (1.0, 1.1, 1.16666399558401, 1e-6),
+        (1.0, 1.01, 1.16666663756336, 1e-6),
+        (50.0, 51.0, 1.16666655139635, 1e-6),
+        (100.0, 101.0, 1.16666663756336, 1e-6),
+        (280.0, 302.0, 1.16666498465444, 1e-6),
+        (1000.0, 1000.5, 1.16666666659322, 1e-4),
+    ])
+    def test_variance_to_mean_peak_matches_high_precision(self, k_min, k_max, want, tol):
+        assert abs(fit._peak_alpha(Moment.VAR_TO_MEAN, k_min, k_max) - want) <= tol
+
+    @pytest.mark.parametrize("k_min, k_max, alpha", [
+        (50.0, 51.0, 1.1675), (100.0, 101.0, 1.2),
+    ])
+    def test_ratio_just_right_of_a_narrow_peak_inverts(self, k_min, k_max, alpha):
+        want = predict(PowerLawSpec(alpha, k_min, k_max)).var_to_mean
+        got = alpha_from_moment(want, Moment.VAR_TO_MEAN, k_min, k_max)
+        assert abs(got - alpha) <= 1e-3
 
     def test_limit_branch_plateau_inverts_to_its_middle(self):
         # every moment is strictly decreasing through alpha = 2, including

@@ -19,6 +19,7 @@ from ffparadox.powerlaw import (
     INFINITE,
     Branch,
     PowerLawSpec,
+    _log_e_slope,
     cdf,
     normalization_constant,
     pdf,
@@ -308,6 +309,22 @@ def test_predict_matches_high_precision_closed_forms(alpha, k_min, ratio):
     assert abs(r.mean_k - mean) <= 1e-13 * mean
     assert abs(r.second_moment - m2) <= 1e-13 * m2
     assert abs(r.var_to_mean - var_to_mean) <= 1e-13 * m2 / mean
+
+
+# |x| = |t * span| from 1e-8 to past exp's overflow at 709, both signs;
+# just above the Taylor switch at 0.05 the closed form cancels most.
+@settings(deadline=None, max_examples=300)
+@given(st.floats(-8.0, math.log10(1.6e3)), st.sampled_from([-1.0, 1.0]),
+       st.floats(-12.0, math.log10(700.0)))
+@example(math.log10(0.056), 1.0, 0.0)
+@example(math.log10(1.6e3), -1.0, math.log10(700.0))
+def test_log_e_slope_matches_high_precision_derivative(x_exp, sign, span_exp):
+    span = 10.0**span_exp
+    t = -sign * 10.0**x_exp / span
+    with mpmath.workdps(60):  # d/dt ln(expm1(t * span) / t)
+        u, s = mpmath.mpf(t), mpmath.mpf(span)
+        want = s * mpmath.exp(u * s) / mpmath.expm1(u * s) - 1 / u
+    assert abs(_log_e_slope(t, span) - want) <= 2e-14 * abs(want)
 
 
 @st.composite
