@@ -5,25 +5,22 @@ structural metrics (components, global efficiency, betweenness-based central
 point dominance) operate on the graph's CSR adjacency matrix,
 ``Graph.adjacency``, through ``scipy.sparse`` and ``scipy.sparse.csgraph``.
 
-Efficiency and betweenness share one layer of traversal windows: each
-connected component of two or more vertices is traversed on its own, small
-components packed together (their adjacency is block-diagonal, so no path
-crosses), with sources taken in batches.  Work grows with the sum of
-c(c - 1) over component sizes c, not with n(n - 1), so isolated vertices
-and many small components cost almost nothing; both metrics still
-normalize over all n vertices.  Past a fixed limit on that sum,
-``TooManyPairsError`` is raised before any traversal.
-
-Efficiency counts breadth-first levels bit-parallel (multi-source BFS, Then
-et al., VLDB 2014): each vertex holds one bit per source of a batch in
-``uint64`` words, a level is one OR over every vertex's neighbours' words,
-and ``np.bitwise_count`` gives its size.  The exact integer counts N_k of
-ordered pairs at hop distance k then give the sum of 1/d(i, j) as the sum
-of N_k / k, so the result does not depend on vertex labels, windows or
-batches.  Betweenness runs a level-synchronous search with path counts,
-one sparse matrix product per level, keeping each level as the flat
-indices of the (vertex, source) entries it newly reached, and accumulates
-Brandes' dependencies back down those index lists.
+Efficiency and betweenness share one breadth-first engine.  Each connected
+component of two or more vertices is traversed on its own, small components
+packed together (their adjacency is block-diagonal, so no path crosses),
+with sources taken in batches.  Work grows with the sum of c(c - 1) over
+component sizes c, not with n(n - 1), so isolated vertices and many small
+components cost almost nothing; both metrics still normalize over all n
+vertices.  Past a fixed limit on that sum, ``TooManyPairsError`` is raised
+before any traversal.  A batch's levels are found bit-parallel (multi-source
+BFS, Then et al., VLDB 2014): each vertex holds one bit per source in
+``uint64`` words, and a level is one OR over every vertex's neighbours'
+words.  Efficiency pop-counts each level: the exact integer counts N_k of
+ordered pairs at hop distance k give the sum of 1/d(i, j) as the sum of
+N_k / k, independent of vertex labels, windows and batches.  Betweenness
+unpacks each level into the flat indices of its (vertex, source) entries,
+counts shortest paths to them with one sparse matrix product per level,
+and accumulates Brandes' dependencies back down those index lists.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
-from .errors import AllIsolatedError, TooManyPairsError
+from .errors import AllIsolatedError, DivergentError, TooManyPairsError
 from .netgen import Graph
 
 # Sources per batch of the all-sources traversal, and the most vertices that
@@ -174,6 +171,30 @@ def _batches(g: Graph):
             yield members, adj, parts, start, min(_BATCH, hi - lo - start)
 
 
+def _levels(adj, start, b):
+    """Breadth-first levels of one batch: for hop distance 1, 2, ... until
+    one is empty, the ``uint64`` words whose bit j of row v is set when
+    source ``start + j`` first reaches local vertex v at that distance."""
+    # Bit j of a vertex's words: source start + j has reached it.
+    j = np.arange(b, dtype=np.uint64)
+    frontier = np.zeros((adj.shape[0], -(-b // 64)), dtype=np.uint64)
+    frontier[start + j, j >> 6] = np.uint64(1) << (j & 63)
+    unseen = ~frontier
+    while True:
+        # A vertex's next frontier is the OR of its neighbours' words.
+        # reduceat gives an empty row its start element, not 0: every row
+        # here has a neighbour, since singletons are permuted out of every
+        # window.
+        frontier = np.bitwise_or.reduceat(
+            frontier.take(adj.indices, axis=0), adj.indptr[:-1], axis=0
+        )
+        frontier &= unseen
+        if not frontier.any():
+            return
+        unseen ^= frontier
+        yield frontier
+
+
 def global_efficiency(g: Graph) -> float:
     """Mean of 1/d(i, j) over ordered vertex pairs; disconnected pairs add 0."""
     n = g.n
@@ -182,27 +203,8 @@ def global_efficiency(g: Graph) -> float:
     # counts[k]: ordered pairs at hop distance k, exact integers.
     counts = Counter()
     for _, adj, _, start, b in _batches(g):
-        # Bit j of a vertex's words: source start + j has reached it.
-        j = np.arange(b, dtype=np.uint64)
-        frontier = np.zeros((adj.shape[0], -(-b // 64)), dtype=np.uint64)
-        frontier[start + j, j >> 6] = np.uint64(1) << (j & 63)
-        unseen = ~frontier
-        k = 0
-        while True:
-            # A vertex's next frontier is the OR of its neighbours' words.
-            # reduceat gives an empty row its start element, not 0: every
-            # row here has a neighbour, since singletons are permuted out of
-            # every window.
-            frontier = np.bitwise_or.reduceat(
-                frontier.take(adj.indices, axis=0), adj.indptr[:-1], axis=0
-            )
-            frontier &= unseen
-            reached = int(np.bitwise_count(frontier).sum())
-            if not reached:
-                break
-            unseen ^= frontier
-            k += 1
-            counts[k] += reached
+        for k, frontier in enumerate(_levels(adj, start, b), 1):
+            counts[k] += int(np.bitwise_count(frontier).sum())
     total = sum(counts[k] / k for k in sorted(counts))
     return total / (n * (n - 1))
 
@@ -211,30 +213,31 @@ def betweenness(g: Graph) -> np.ndarray:
     """Exact betweenness centrality (unordered-pair counting) of every vertex:
     Brandes' dependencies flow back down each batch's breadth-first levels.
 
-    The forward pass keeps each level as the flat indices into a dense
-    (size, batch) block of the (vertex, source) entries first reached at
-    that hop distance, with their shortest-path counts; the block holds
-    values only at the level being propagated, so one sparse product per
-    level spreads them.
+    The forward pass keeps each level of ``_levels`` as the flat indices of
+    its entries in a dense (vertex, source) block, with their shortest-path
+    counts (``DivergentError`` past the float range); filled in at one level
+    only, the block spreads that level's counts in one sparse product.
     """
     bc = np.zeros(g.n)
     for members, adj, parts, start, b in _batches(g):
-        size = adj.shape[0]
-        flat = np.zeros(size * b)
-        block = flat.reshape(size, b)
-        unseen = np.ones(size * b, dtype=bool)
+        flat = np.zeros(adj.shape[0] * b)
+        block = flat.reshape(-1, b)
         # Source j is local vertex start + j: entry (start + j) * b + j.
-        idx = np.arange(start * b, (start + b) * b, b + 1)
-        sigma = np.ones(b)
-        levels = []
-        while idx.size:
-            unseen[idx] = False
-            levels.append((idx, sigma))
+        levels = [(np.arange(start * b, (start + b) * b, b + 1), np.ones(b))]
+        for frontier in _levels(adj, start, b):
+            idx, sigma = levels[-1]
             flat[idx] = sigma
             paths = adj.dot(block).ravel()
             flat[idx] = 0.0
-            idx = np.flatnonzero(np.logical_and(paths, unseen))
+            # "<u8" puts bit j of word w at column 64 w + j on any host; it
+            # copies nothing on a little-endian one.
+            words = frontier.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(words, axis=1, count=b, bitorder="little")
+            idx = np.flatnonzero(bits.view(bool))
             sigma = paths[idx]
+            if not np.isfinite(sigma).all():
+                raise DivergentError("shortest-path counts exceed the float range")
+            levels.append((idx, sigma))
         delta = np.zeros(flat.size)
         # Stopping at level 2 leaves the sources' own dependency at zero.
         for lev in range(len(levels) - 1, 1, -1):

@@ -423,6 +423,25 @@ class TestGenerateCommand:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_steep_alpha_with_a_huge_kmax_is_answered(self, capsys):
+        code, out, err = run(capsys, "generate", "--alpha", "3", "--kmax", "1e300",
+                             "--n", "1000", "--seed", "1")
+        assert code == 0
+        assert len(out.splitlines()) == 945
+        assert err == "945 edges on 1000 vertices (0 stubs dropped)\n"
+
+
+# Draws of 2**63 or more are refused before rounding, with no numpy warning.
+@pytest.mark.parametrize("command", [
+    ["generate", "--kmax", "1e300", "--n", "1000", "--seed", "1"],
+    ["experiment", "--kmaxs", "1e30", "--n", "1000", "--seeds", "0", "--models", "A"],
+])
+def test_draws_past_int64_are_domain_errors(capsys, command):
+    code, out, err = run(capsys, *command, "--alpha", "1.01")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a draw of ") and "int64 degree range" in err
+
 
 # Both commands derive their graphs through one seed-to-graph path, which
 # refuses a vertex count above the edge-list limit before drawing anything.
@@ -529,6 +548,21 @@ class TestAnalyzeCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_path_counts_past_the_float_range_are_domain_error(self, capsys,
+                                                               tmp_path):
+        # 660 layers of three vertices, each joined to all of the next
+        # layer's: 3**658 shortest paths end to end, past the float range.
+        path = tmp_path / "chain.txt"
+        path.write_text("".join(
+            f"{3 * i + a} {3 * i + 3 + b}\n"
+            for i in range(659) for a in range(3) for b in range(3)
+        ))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "float range" in err
 
     def test_too_many_vertex_pairs_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "path.txt"

@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
-from ffparadox.errors import AllIsolatedError, DomainError, TooManyPairsError
+from ffparadox.errors import (
+    AllIsolatedError,
+    DivergentError,
+    DomainError,
+    TooManyPairsError,
+)
 from ffparadox.metrics import (
     _BATCH,
     betweenness,
@@ -389,6 +395,27 @@ def test_generated_graphs_match_networkx(model):
         )
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_engine_matches_scipy_distances_at_n_3000(model):
+    # The giant components span a dozen batches of sources, past what the
+    # networkx oracles reach; scipy's distances give the counts N_k of
+    # ordered pairs at hop distance k, 500 sources at a time.
+    seq = make_graphical(sample_degrees(PowerLawSpec(2.0, 1.0, 100.0), 3000, 11), seed=1)
+    g = generate(seq, model, seed=7)
+    counts = Counter()
+    for lo in range(0, g.n, 500):
+        dist = csgraph.shortest_path(
+            g.adjacency, unweighted=True, indices=np.arange(lo, min(lo + 500, g.n))
+        )
+        hops = dist[np.isfinite(dist) & (dist > 0)].astype(np.int64)
+        k, count = np.unique(hops, return_counts=True)
+        counts.update(dict(zip(k.tolist(), count.tolist())))
+    want = sum(counts[k] / k for k in sorted(counts)) / (g.n * (g.n - 1))
+    assert global_efficiency(g) == want
+    inner = sum(count * (k - 1) for k, count in counts.items())
+    assert betweenness(g).sum() == pytest.approx(inner / 2, rel=1e-12)
+
+
 class TestTraversalWindows:
     """Components are traversed in windows of at most ``_BATCH`` sources:
     one window per larger component, small components packed together."""
@@ -434,8 +461,8 @@ class TestTraversalWindows:
 
 
 class TestEfficiencyWords:
-    """Efficiency reaches vertices from 64 sources per uint64 word; a batch's
-    last word may be partly filled."""
+    """The breadth-first levels of both metrics reach vertices from 64
+    sources per uint64 word; a batch's last word may be partly filled."""
 
     @pytest.mark.parametrize(
         "sizes", [[63], [64], [65], [63, 64, 65], [_BATCH + 65, 64]]
@@ -445,6 +472,7 @@ class TestEfficiencyWords:
         g = graph_from(sum(sizes), edges)
         assert sorted(components(g)) == sorted(sizes)
         assert global_efficiency(g) == distance_histogram_efficiency(g)
+        assert_matches_networkx(g)
 
     def test_path_with_more_levels_than_a_word_has_bits(self):
         n = 150
@@ -452,6 +480,25 @@ class TestEfficiencyWords:
         # 2 (n - k) ordered pairs at each distance k
         want = sum(2 * (n - k) / k for k in range(1, n)) / (n * (n - 1))
         assert global_efficiency(g) == want == distance_histogram_efficiency(g)
+        assert_matches_networkx(g)
+
+
+def bipartite_chain(layers):
+    """Layers of three vertices, each joined to all of the next layer's:
+    3**(layers - 2) shortest paths join a vertex of the first layer to one
+    of the last."""
+    return graph_from(3 * layers, [
+        (3 * i + a, 3 * i + 3 + b)
+        for i in range(layers - 1) for a in range(3) for b in range(3)
+    ])
+
+
+def test_path_counts_past_the_float_range_are_divergent():
+    # 3**658, about 2**1043 paths end to end: the first batch overflows.
+    g = bipartite_chain(660)
+    for metric in (betweenness, central_point_dominance):
+        with pytest.raises(DivergentError, match="float range"):
+            metric(g)
 
 
 class TestWorkLimit:

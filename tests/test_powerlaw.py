@@ -21,6 +21,7 @@ from ffparadox.powerlaw import (
     PowerLawSpec,
     _log_e_slope,
     cdf,
+    draw_degrees,
     normalization_constant,
     pdf,
     predict,
@@ -493,6 +494,18 @@ class TestSampling:
     def test_degenerate_sampling_is_constant(self):
         values = sample_degrees(PowerLawSpec(2.0, 5.0, 5.0), 50, 3)
         assert (values == 5).all()
+
+    def test_draws_past_int64_are_refused_before_rounding(self):
+        # 644 of these 1 000 draws are 2**63 or more, which no int64 holds.
+        with pytest.raises(DivergentError, match="int64 degree range"):
+            draw_degrees(PowerLawSpec(1.01, 1.0, 1e300), 1000, 1)
+
+    def test_largest_float_below_2_to_the_63_is_a_degree(self):
+        top = 2.0**63 - 1024
+        degrees = sample_degrees(PowerLawSpec(2.0, top, top), 3, 0)
+        assert (degrees == 2**63 - 1024).all()
+        with pytest.raises(DivergentError, match="int64 degree range"):
+            sample_degrees(PowerLawSpec(2.0, 2.0**63, 2.0**63), 3, 0)
 
 
 def test_alpha_within_rounding_of_one_is_answered():
