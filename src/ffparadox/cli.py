@@ -102,10 +102,10 @@ def _target_sequence(spec: PowerLawSpec, n: int, seed: int):
     return sample, netgen.make_graphical(seq, seed=_sub_seed(seed, k_max, _TAG_PARITY))
 
 
-def _realize(seq, seed: int, k_max: float, model: Model, block_size: int):
-    return netgen.generate(
-        seq, model, _sub_seed(seed, k_max, _MODEL_TAGS[model]), block_size=block_size
-    )
+def _realize(seq, seed: int, k_max: float, model: Model):
+    """The graph of (seed, k_max, model) on ``seq`` and its dropped stubs."""
+    g = netgen.generate(seq, model, _sub_seed(seed, k_max, _MODEL_TAGS[model]))
+    return g, int(seq.sum()) - 2 * len(g.edges)
 
 
 def _parse_values(text: str, name: str) -> list[float]:
@@ -131,15 +131,6 @@ def _parse_values(text: str, name: str) -> list[float]:
         raise UsageError(
             f"cannot parse {name} {text!r}: expected 'a,b,c' or 'start:stop:step'"
         ) from None
-
-
-def _parse_kmax(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinite"):
-        return powerlaw.INFINITE
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"cannot parse k_max {text!r}") from None
 
 
 def _fmt(value) -> str:
@@ -187,7 +178,6 @@ def run_experiment(
     n: int,
     models,
     seeds,
-    block_size: int = 32,
 ) -> list[ExperimentRow]:
     """Sample -> realize -> measure -> fit for every (k_max, seed, model) cell.
 
@@ -202,8 +192,6 @@ def run_experiment(
         raise UsageError("at least one model is required")
     if not seeds:
         raise UsageError("at least one seed is required")
-    if block_size < 1:
-        raise UsageError("block size must be at least 1")
 
     rows: list[ExperimentRow] = []
     for k_max in kmaxs:
@@ -233,7 +221,7 @@ def run_experiment(
                 seq, alpha_hat, error = targets[seed]
                 measured = {}
                 try:
-                    g = _realize(seq, seed, k_max, model, block_size)
+                    g, dropped = _realize(seq, seed, k_max, model)
                     stats = metrics.stats_from_degrees(g.degrees())
                     comps = metrics.components(g)
                     measured = dict(
@@ -242,7 +230,7 @@ def run_experiment(
                         empirical_ratio=stats.gap,
                         components=len(comps),
                         giant_fraction=comps[0] / g.n,
-                        dropped_stubs=int(seq.sum()) - 2 * len(g.edges),
+                        dropped_stubs=dropped,
                     )
                 except DomainError as exc:
                     error = exc.code
@@ -298,7 +286,7 @@ def _emit(text: str, out_path):
 
 
 def _cmd_predict(args) -> int:
-    spec = PowerLawSpec(args.alpha, args.kmin, _parse_kmax(args.kmax))
+    spec = PowerLawSpec(args.alpha, args.kmin, args.kmax)
     # Branch is a str enum, so json writes it as its value.
     payload = {**asdict(spec), **asdict(powerlaw.predict(spec))}
     payload = {key: _jsonable(value) for key, value in payload.items()}
@@ -330,24 +318,19 @@ def _cmd_experiment(args) -> int:
         raise UsageError(f"cannot parse --seeds {args.seeds!r}") from None
     if any(s < 0 for s in seeds):
         raise UsageError("seeds must be non-negative")
-    rows = run_experiment(
-        args.alpha, args.kmin, kmaxs, args.n, models, seeds, args.block_size
-    )
+    rows = run_experiment(args.alpha, args.kmin, kmaxs, args.n, models, seeds)
     _emit(experiment_csv(rows), args.out)
     return 0
 
 
 def _cmd_generate(args) -> int:
-    spec = PowerLawSpec(args.alpha, args.kmin, _parse_kmax(args.kmax))
+    spec = PowerLawSpec(args.alpha, args.kmin, args.kmax)
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
-    if args.block_size < 1:
-        raise UsageError("--block-size must be at least 1")
     model = Model(args.model)
     _, seq = _target_sequence(spec, args.n, args.seed)
-    g = _realize(seq, args.seed, spec.k_max, model, args.block_size)
+    g, dropped = _realize(seq, args.seed, spec.k_max, model)
     _emit(netgen.format_edge_list(g), args.out)
-    dropped = int(seq.sum()) - 2 * len(g.edges)
     sys.stderr.write(f"{len(g.edges)} edges on {g.n} vertices ({dropped} stubs dropped)\n")
     return 0
 
@@ -364,7 +347,7 @@ def _cmd_analyze(args) -> int:
         "edges": len(g.edges),
         "stats": {k: v for k, v in asdict(stats).items() if k != "n"},
         "components": {"count": len(comps), "sizes": comps},
-        "global_efficiency": metrics.global_efficiency(g) if g.n >= 2 else None,
+        "global_efficiency": metrics.global_efficiency(g),
         "central_point_dominance": (
             metrics.central_point_dominance(g) if g.n >= 3 else None
         ),
@@ -384,7 +367,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="closed-form prediction as JSON")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--kmin", type=float, default=1.0)
-    p.add_argument("--kmax", type=str, required=True, help="number or 'inf'")
+    p.add_argument("--kmax", type=float, required=True, help="number or 'inf'")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_predict)
 
@@ -404,18 +387,16 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--models", type=str, default="A,B,KALISKY")
     p.add_argument("--seeds", type=str, default=DEFAULT_SEEDS)
-    p.add_argument("--block-size", type=int, default=32)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("generate", help="realize one network as an edge list")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--kmin", type=float, default=1.0)
-    p.add_argument("--kmax", type=str, required=True)
+    p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--model", type=str, default="A", choices=[m.value for m in Model])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--block-size", type=int, default=32)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_generate)
 

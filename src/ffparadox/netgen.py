@@ -6,7 +6,11 @@ wiring style while keeping the degree sequence (almost) intact:
 
 * Model A   - one block; classic configuration-model pairing.
 * Model B   - small vertex blocks, all paired in the same rounds, which
-              fragments the graph into many components.
+              fragments the graph into many components.  A block is a run
+              of at least 32 vertices of a random order, extended until,
+              with d its largest degree, it has more than 2.5 d vertices
+              and at least 2.5 d stubs besides d's; the infeasible tail
+              joins the largest block.
 * Kalisky   - vertices are placed hubs-first, each attaching to an open stub
               of the placed ones; leftovers are paired in one block.
 
@@ -289,9 +293,13 @@ def _check_sequence(degrees: np.ndarray):
         )
 
 
-def _blocks(degrees: np.ndarray, rng, block_size: int) -> np.ndarray:
+# Model B's least block size: small enough that blocks fragment the graph.
+_BLOCK_SIZE = 32
+
+
+def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
     """Model B's block id of every vertex: runs of a random vertex order of
-    ``block_size`` vertices, extended until every member's degree is
+    ``_BLOCK_SIZE`` vertices, extended until every member's degree is
     realizable inside the block with slack (enough distinct partners and
     partner stubs); otherwise hubs would be clipped."""
     margin = 2.5  # partner slack per hub; tight blocks defeat edge-swap repair
@@ -307,7 +315,7 @@ def _blocks(degrees: np.ndarray, rng, block_size: int) -> np.ndarray:
         total += d
         if d > peak:
             peak, slack = d, margin * d
-        if size >= block_size and size > slack and total - peak >= slack:
+        if size >= _BLOCK_SIZE and size > slack and total - peak >= slack:
             sizes.append(size)
             size = total = peak = slack = 0
     # Infeasible tail: fold it into the largest closed block, which has the
@@ -343,18 +351,16 @@ def _attach_hubs_first(degrees: np.ndarray, rng):
     return attached, np.array(open_stubs, dtype=np.int64)
 
 
-def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
+def generate(seq, model: Model, seed: int) -> Graph:
     """Realize ``seq`` as a simple undirected graph under the given model.
 
     The degree sum must already be even (see ``make_graphical``).  The
     realized degree of each vertex never exceeds its target; unpairable
     stubs are dropped (see ``drop_report``).  Deterministic per seed, on
-    every CPU.  ``block_size`` (at least 1) is model B's target block size.
+    every CPU.
     """
     degrees = np.asarray(seq, dtype=np.int64)
     _check_sequence(degrees)
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, got {block_size}")
     model = Model(model)
     n = degrees.size
     rng = np.random.default_rng(seed)
@@ -363,7 +369,7 @@ def generate(seq, model: Model, seed: int, block_size: int = 32) -> Graph:
     else:
         seeded, stubs = np.empty((0, 2), dtype=np.int64), np.repeat(np.arange(n), degrees)
     one_block = np.zeros(n, dtype=np.uint8)
-    block = _blocks(degrees, rng, block_size) if model is Model.B else one_block
+    block = _blocks(degrees, rng) if model is Model.B else one_block
     return Graph.from_edges(n, _pair(stubs, n, rng, block, seeded))
 
 

@@ -270,13 +270,16 @@ class TestExperimentCommand:
                          "--seeds", "0")
         assert code == 1
 
-    @pytest.mark.parametrize("block_size", ["0", "-3"])
-    def test_non_positive_block_size_is_usage_error(self, capsys, block_size):
+    # Model B's block size is a constant, not an option.
+    @pytest.mark.parametrize("block_size", ["0", "8"])
+    def test_block_size_is_unrecognized(self, capsys, block_size):
         code, out, err = run(capsys, "experiment", "--n", "300", "--kmaxs", "10",
                              "--seeds", "0", "--block-size", block_size)
         assert code == 1
         assert out == ""
-        assert "block size" in err
+        assert err == (
+            f"usage error: ffparadox: unrecognized arguments: --block-size {block_size}\n"
+        )
 
     def test_small_n_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "experiment", "--n", "99", "--kmaxs", "10",
@@ -376,15 +379,16 @@ class TestGenerateCommand:
             f"{edges} edges on 2000 vertices (10 stubs dropped)\n"
         )
 
-    @pytest.mark.parametrize("block_size", ["0", "-3"])
-    def test_non_positive_block_size_is_usage_error(self, capsys, tmp_path,
-                                                    block_size):
+    @pytest.mark.parametrize("block_size", ["0", "8"])
+    def test_block_size_is_unrecognized(self, capsys, tmp_path, block_size):
         out = tmp_path / "g.txt"
         code, _, err = run(capsys, "generate", "--kmax", "100", "--n", "1000",
                            "--model", "B", "--seed", "1", "--block-size",
                            block_size, "--out", str(out))
         assert code == 1
-        assert "--block-size" in err
+        assert err == (
+            f"usage error: ffparadox: unrecognized arguments: --block-size {block_size}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("model", ["A", "B", "KALISKY"])
@@ -454,6 +458,18 @@ def test_n_above_the_vertex_limit_is_refused_before_drawing(capsys, command):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == "error: n = 10000001 exceeds the limit of 10000000 vertices\n"
+
+
+# --kmax and --kmaxs parse k_max as the same float: 'inf' is unbounded, and
+# 'infinite' is no number.
+@pytest.mark.parametrize("command", [
+    ["predict", "--alpha", "4", "--kmax"], ["sweep", "--alphas", "4", "--kmaxs"],
+])
+def test_kmax_flags_parse_alike(capsys, command):
+    assert run(capsys, *command, "inf")[0] == 0
+    code, out, err = run(capsys, *command, "infinite")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "'infinite'" in err
 
 
 class TestAnalyzeCommand:

@@ -258,12 +258,43 @@ def degree_sequences(draw, max_n=40):
 def test_generate_realizes_a_simple_subgraph_of_the_target(
     seq, model, seed, block_size
 ):
-    g = generate(seq, model, seed, block_size=block_size)
+    with mock.patch.object(netgen, "_BLOCK_SIZE", block_size):
+        g = generate(seq, model, seed)
+        again = generate(seq, model, seed)
     assert np.array_equal(Graph.from_edges(g.n, g.edges).edges, g.edges)
     assert (g.degrees() <= seq).all()
     assert drop_report(g, seq).total == int(seq.sum()) - 2 * len(g.edges)
-    again = generate(seq, model, seed, block_size=block_size)
     assert np.array_equal(again.edges, g.edges)
+
+
+@st.composite
+def block_degrees(draw, max_n=400):
+    """Degrees every one below n: uniform draws, or power-law draws clipped
+    to n - 1."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    spec = PowerLawSpec(draw(st.floats(1.5, 3.5)), 1.0, draw(st.floats(2.0, 1000.0)))
+    return np.minimum(sample_degrees(spec, n, draw(st.integers(0, 2**32 - 1))), n - 1)
+
+
+@no_deadline
+@given(block_degrees(), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_model_b_blocks_follow_the_block_rule(degrees, block_size, seed):
+    with mock.patch.object(netgen, "_BLOCK_SIZE", block_size):
+        block = netgen._blocks(degrees, np.random.default_rng(seed))
+    ids, sizes = np.unique(block, return_counts=True)
+    assert np.array_equal(ids, np.arange(ids.size))
+    assert block.dtype == np.min_scalar_type(ids.size - 1)
+    assert degrees[block == 0].max() == degrees.max()
+    # The infeasible tail is folded into a largest block; every other block
+    # was closed by the rule.
+    for b in np.delete(ids, np.argmax(sizes)):
+        members = degrees[block == b]
+        peak = members.max()
+        assert members.size >= block_size
+        assert members.size > 2.5 * peak
+        assert members.sum() - peak >= 2.5 * peak
 
 
 @no_deadline

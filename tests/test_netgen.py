@@ -89,12 +89,6 @@ class TestGenerateSmall:
         with pytest.raises(ValueError):
             generate([1, 1, 1], Model.A, seed=0)
 
-    @pytest.mark.parametrize("model", list(Model))
-    @pytest.mark.parametrize("block_size", [0, -3])
-    def test_non_positive_block_size_rejected(self, model, block_size):
-        with pytest.raises(ValueError, match="block_size"):
-            generate([2, 2, 2], model, seed=0, block_size=block_size)
-
 
 class TestGenerateContracts:
     @pytest.mark.parametrize("model", list(Model))
@@ -178,8 +172,10 @@ class TestGenerateContracts:
 
     def test_model_b_block_size_configurable(self):
         seq = powerlaw_sequence(2000, 20, sample_seed=7)
-        small = generate(seq, Model.B, seed=10, block_size=16)
-        large = generate(seq, Model.B, seed=10, block_size=256)
+        with mock.patch.object(netgen, "_BLOCK_SIZE", 16):
+            small = generate(seq, Model.B, seed=10)
+        with mock.patch.object(netgen, "_BLOCK_SIZE", 256):
+            large = generate(seq, Model.B, seed=10)
         assert len(metrics.components(small)) > len(metrics.components(large))
 
     def test_kalisky_single_component_on_dense_sequence(self):
