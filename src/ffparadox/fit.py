@@ -75,7 +75,8 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
     1 + n / sum(ln(k_i / k_min)); otherwise the score equation is solved on
     (1.001, 6].  A likelihood that is monotone on that bracket (e.g. all
     observations equal to k_min), or that does not depend on alpha at all
-    (k_min == k_max), raises NoMaximumError.
+    (k_min == k_max), raises NoMaximumError.  k_min and k_max are checked as
+    a ``PowerLawSpec``'s are.
     """
     values = np.asarray(data, dtype=float)
     if k_min is None:
@@ -83,8 +84,7 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
         if positive.size == 0:
             raise TooFewPointsError("no positive observations")
         k_min = float(positive.min())
-    if k_min < 1.0:
-        raise ValueError("k_min must be >= 1")
+    span = powerlaw.PowerLawSpec(ALPHA_LO, k_min, k_max).span
     tail = values[(values >= k_min) & (values <= k_max)]
     n = tail.size
     if n < 2:
@@ -102,8 +102,6 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
     else:
         if k_min == k_max:
             raise NoMaximumError("likelihood does not depend on alpha: k_min == k_max")
-
-        span = powerlaw.PowerLawSpec(ALPHA_LO, k_min, k_max).span
 
         def score(a):
             return powerlaw._log_e_slope(1.0 - a, span) - shifted

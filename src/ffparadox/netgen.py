@@ -49,12 +49,11 @@ class _EdgeError(ValueError):
         self.index = index
 
 
-# The largest vertex count whose edge codes lo * n + hi fit in int64.
-_MAX_N = 3_037_000_499
-# The most vertices an edge-list file may imply (about 100 bytes per id in
-# ``analyze``), and the largest n that ``generate`` and ``experiment`` take:
-# ten times the largest graphs generated in practice (n = 10^6).
-_MAX_FILE_N = 10**7
+# The most vertices a graph may have, whether generated or implied by an
+# edge-list file: about 100 bytes per id in ``analyze``, ten times the largest
+# graphs generated in practice (n = 10^6).  Edge codes lo * n + hi stay far
+# inside int64 (below 10^14).
+_MAX_N = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +282,8 @@ def _check_sequence(degrees: np.ndarray):
     n = degrees.size
     if n == 0:
         raise ValueError("degree sequence must be nonempty")
+    if n > _MAX_N:
+        raise ValueError(f"{n} vertices exceed the limit of {_MAX_N}")
     if degrees.min() < 0:
         raise ValueError("degrees must be non-negative")
     if int(degrees.sum()) % 2 != 0:
@@ -407,13 +408,13 @@ def write_edge_list(g: Graph, path):
 
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file; vertex count is max id + 1, at most
-    ``_MAX_FILE_N``.
+    ``_MAX_N``.
 
     The file is opened and read once, so a pipe such as ``/dev/stdin`` works.
     One ``np.loadtxt`` pass parses its text; text that pass declines, or
     whose edges ``Graph.from_edges`` refuses, is parsed again line by line.
     Malformed lines and ids outside int64, then self-loops, negative ids,
-    ids of ``_MAX_FILE_N`` or more and duplicate edges (in either
+    ids of ``_MAX_N`` or more and duplicate edges (in either
     orientation, checked by ``Graph.from_edges`` before any per-vertex array
     is built) are rejected with their line number.
     """
@@ -427,7 +428,7 @@ def read_edge_list(path) -> Graph:
             pass
     if edges is not None and edges.shape[1] == 2:
         try:
-            return Graph.from_edges(min(int(edges.max()) + 1, _MAX_FILE_N), edges)
+            return Graph.from_edges(int(edges.max()) + 1, edges)
         except _EdgeError:
             pass  # parsed again below, line by line, to name the line
     pairs = []
@@ -453,6 +454,6 @@ def read_edge_list(path) -> Graph:
     edges = np.array(pairs, dtype=np.int64)
     n = int(edges.max()) + 1 if edges.size else 0
     try:
-        return Graph.from_edges(min(n, _MAX_FILE_N), edges)
+        return Graph.from_edges(n, edges)
     except _EdgeError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None

@@ -265,10 +265,18 @@ class TestExperimentCommand:
                          "--kmaxs", "10", "--seeds", "0")
         assert code == 1
 
-    def test_infinite_kmax_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "experiment", "--kmaxs", "inf", "--n", "300",
-                         "--seeds", "0")
-        assert code == 1
+    # Refused by powerlaw as in generate: by predict at alpha <= 3, and by
+    # the degree draw otherwise.
+    @pytest.mark.parametrize("alpha, message", [
+        ("2", "mean or variance diverges for alpha <= 3 with unbounded k_max"),
+        ("4", "degree sampling requires finite k_max"),
+    ], ids=["2", "4"])
+    def test_infinite_kmax_is_domain_error(self, capsys, alpha, message):
+        code, out, err = run(capsys, "experiment", "--alpha", alpha, "--kmaxs", "inf",
+                             "--n", "300", "--seeds", "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     # Model B's block size is a constant, not an option.
     @pytest.mark.parametrize("block_size", ["0", "8"])

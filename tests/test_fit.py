@@ -39,6 +39,12 @@ class TestFitAlpha:
         assert result.n_tail == 2
         assert result.stderr == pytest.approx(1.0 / math.sqrt(2))
 
+    def test_kmin_below_one_refused_by_the_spec(self):
+        # the observed minimum 0.5 becomes k_min, which PowerLawSpec refuses
+        with pytest.raises(ValueError) as info:
+            fit_alpha([0.5, 2.0, 3.0])
+        assert str(info.value) == "k_min must be finite and >= 1, got 0.5"
+
     def test_constant_data_has_no_maximum(self):
         with pytest.raises(NoMaximumError):
             fit_alpha([3.0] * 50)

@@ -311,11 +311,12 @@ class TestEdgeListIO:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("0 1\n1 3037000499\n", "line 2: vertex id 3037000499 above 3037000498"),
-            ("0 1\n1 4000000000\n", "line 2: vertex id 4000000000 above 3037000498"),
+            ("0 1\n1 10000000\n", "line 2: vertex id 10000000 above 9999999"),
+            ("0 1\n1 99999999\n", "line 2: vertex id 99999999 above 9999999"),
+            ("0 1\n1 4000000000\n", "line 2: vertex id 4000000000 above 9999999"),
             (
                 "0 1\n9223372036854775807 1\n",
-                "line 2: vertex id 9223372036854775807 above 3037000498",
+                "line 2: vertex id 9223372036854775807 above 9999999",
             ),
             (
                 "0 1\n1 99999999999999999999\n",
@@ -326,21 +327,56 @@ class TestEdgeListIO:
                 "line 2: id outside int64 in '-9223372036854775809 1'",
             ),
         ],
-        ids=["first-refused", "4e9", "int64-max", "above-int64", "below-int64"],
+        ids=["first-refused", "1e8", "4e9", "int64-max", "above-int64", "below-int64"],
     )
     def test_id_too_large_for_edge_codes_names_its_line(self, tmp_path, text, message):
-        # edge codes lo * n + hi with n = largest id + 1 must fit in int64
+        # one vertex limit, whatever the size of the id past it
         path = tmp_path / "g.txt"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             read_edge_list(path)
         assert str(info.value) == message
 
-    def test_vertex_limit_is_the_largest_n_with_int64_edge_codes(self):
+    def test_vertex_limit_keeps_edge_codes_inside_int64(self):
         assert netgen._MAX_N**2 - 1 <= np.iinfo(np.int64).max
-        assert (netgen._MAX_N + 1) ** 2 - 1 > np.iinfo(np.int64).max
 
     def test_too_many_vertices_refused_before_allocating(self):
         # n vertices would need an (n + 1)-entry index array: 32 GB here
         with pytest.raises(ValueError, match="4000000001 vertices"):
             Graph.from_edges(4_000_000_001, [(0, 1)])
+
+
+class TestVertexLimit:
+    """``_MAX_N`` is the one vertex limit: built, read and generated graphs
+    may have that many vertices and no more."""
+
+    @pytest.fixture(autouse=True)
+    def limit_50(self):
+        with mock.patch.object(netgen, "_MAX_N", 50):
+            yield
+
+    def test_from_edges_accepts_the_limit_and_refuses_one_more(self):
+        assert Graph.from_edges(50, [(0, 49)]).n == 50
+        with pytest.raises(ValueError, match="^51 vertices exceed the limit of 50$"):
+            Graph.from_edges(51, [(0, 1)])
+        with pytest.raises(ValueError, match="^vertex id 50 above 49$"):
+            Graph.from_edges(51, [(0, 50)])
+
+    def test_read_edge_list_accepts_the_limit_and_refuses_one_more(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 49\n")
+        assert read_edge_list(path).n == 50
+        path.write_text("0 1\n1 50\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == "line 2: vertex id 50 above 49"
+
+    def test_generate_accepts_the_limit(self):
+        g = generate([1] * 50, Model.A, seed=1)
+        assert g.n == 50 and len(g.edges) == 25
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_generate_refuses_one_more_before_pairing(self, model):
+        with mock.patch.object(netgen, "_pair", side_effect=AssertionError("paired")):
+            with pytest.raises(ValueError, match="^51 vertices exceed the limit of 50$"):
+                generate([1] * 50 + [0], model, seed=1)
