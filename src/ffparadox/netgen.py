@@ -8,9 +8,9 @@ wiring style while keeping the degree sequence (almost) intact:
 * Model B   - small vertex blocks, all paired in the same rounds, which
               fragments the graph into many components.  A block is a run
               of at least 32 vertices of a random order, extended until,
-              with d its largest degree, it has more than 2.5 d vertices
-              and at least 2.5 d stubs besides d's; the infeasible tail
-              joins the largest block.
+              with d its largest degree, it has more than 2.5 d vertices,
+              at least 2.5 d stubs besides d's and an even stub count; the
+              infeasible tail joins the largest block.
 * Kalisky   - vertices are placed hubs-first, each attaching to an open stub
               of the placed ones; leftovers are paired in one block.
 
@@ -163,13 +163,12 @@ def _shuffle(stubs: np.ndarray, block: np.ndarray, rng) -> np.ndarray:
 
 def _halves(stubs: np.ndarray, block: np.ndarray) -> np.ndarray:
     """``stubs`` sorted by block id, then vertex, and ordered so that ``_place``
-    pairs each block's first half against its second half; an odd block's
-    first half has one stub more, the one that ``_place`` keeps out."""
+    pairs each block's first half against its second half."""
     stubs = stubs[np.lexsort((stubs, block[stubs]))]
     counts = np.bincount(block[stubs])
     start = np.repeat(np.cumsum(counts) - counts, counts)
     slot = np.arange(stubs.size) - start
-    half = np.repeat((counts + 1) // 2, counts)
+    half = np.repeat(counts // 2, counts)
     return stubs[start + slot // 2 + slot % 2 * half]
 
 
@@ -191,23 +190,20 @@ def _pair(stubs: np.ndarray, n: int, rng, block: np.ndarray, seeded: np.ndarray)
         # Random rounds can keep pairing a vertex's stubs with each other.
         stubs = _halves(stubs, block) if stalls else _shuffle(stubs, block, rng)
         pending = stubs.size
-        m, stubs, u, v = _place(stubs, block, edges, codes, m, n)
-        if not u.size:
-            break  # what is left is one odd stub per block
-        if budget > 0:
+        m, u, v = _place(stubs, edges, codes, m, n)
+        if u.size and budget > 0:
             m, u, v, budget = _swap_repair(u, v, edges, codes, m, n, block, rng, budget)
-        stubs = np.concatenate((stubs, u, v))
+        stubs = np.concatenate((u, v))
         stalls = stalls + 1 if stubs.size == pending else 0
     return edges[:m]
 
 
-def _place(stubs, block, edges, codes, m, n):
-    """Pair ``stubs`` by reshaping (a block's odd last stub is kept out) and
-    place each pair that is no self-loop, present edge or repeat.  Returns the
-    edge count, the stubs kept out and the other pairs as ``(lo, hi)``."""
-    counts = np.bincount(block[stubs])
-    odd = np.cumsum(counts)[counts % 2 == 1] - 1
-    pairs = np.delete(stubs, odd).reshape(-1, 2)
+def _place(stubs, edges, codes, m, n):
+    """Pair ``stubs`` by reshaping and place each pair that is no self-loop,
+    present edge or repeat; every block holds an even stub count, so no pair
+    straddles two blocks.  Returns the edge count and the other pairs as
+    ``(lo, hi)``."""
+    pairs = stubs.reshape(-1, 2)
     code = np.sort(_codes(pairs[:, 0], pairs[:, 1], n))
     lo, hi = np.divmod(code, n)
     fresh = np.ones(code.size, dtype=bool)
@@ -217,7 +213,7 @@ def _place(stubs, block, edges, codes, m, n):
     edges[m:m + placed, 0], edges[m:m + placed, 1] = lo[fresh], hi[fresh]
     codes[m:m + placed] = code[fresh]
     codes[:m + placed].sort(kind="stable")  # merges two sorted runs
-    return m + placed, stubs[odd], lo[~fresh], hi[~fresh]
+    return m + placed, lo[~fresh], hi[~fresh]
 
 
 def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
@@ -302,7 +298,9 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
     """Model B's block id of every vertex: runs of a random vertex order of
     ``_BLOCK_SIZE`` vertices, extended until every member's degree is
     realizable inside the block with slack (enough distinct partners and
-    partner stubs); otherwise hubs would be clipped."""
+    partner stubs; otherwise hubs would be clipped) and the stub count is
+    even, so that every stub has a partner in its block.  With an even
+    degree sum the folded tail, and so every block, is even too."""
     margin = 2.5  # partner slack per hub; tight blocks defeat edge-swap repair
     n = degrees.size
     order = rng.permutation(n)
@@ -316,7 +314,7 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
         total += d
         if d > peak:
             peak, slack = d, margin * d
-        if size >= _BLOCK_SIZE and size > slack and total - peak >= slack:
+        if size >= _BLOCK_SIZE and size > slack and total - peak >= slack and not total % 2:
             sizes.append(size)
             size = total = peak = slack = 0
     # Infeasible tail: fold it into the largest closed block, which has the

@@ -287,14 +287,17 @@ def test_model_b_blocks_follow_the_block_rule(degrees, block_size, seed):
     assert np.array_equal(ids, np.arange(ids.size))
     assert block.dtype == np.min_scalar_type(ids.size - 1)
     assert degrees[block == 0].max() == degrees.max()
-    # The infeasible tail is folded into a largest block; every other block
-    # was closed by the rule.
-    for b in np.delete(ids, np.argmax(sizes)):
+    # The infeasible tail is folded into a largest block, which takes the
+    # parity of the degree sum; every other block was closed by the rule.
+    largest = np.argmax(sizes)
+    assert degrees[block == largest].sum() % 2 == degrees.sum() % 2
+    for b in np.delete(ids, largest):
         members = degrees[block == b]
         peak = members.max()
         assert members.size >= block_size
         assert members.size > 2.5 * peak
         assert members.sum() - peak >= 2.5 * peak
+        assert members.sum() % 2 == 0
 
 
 @no_deadline

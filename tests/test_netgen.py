@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ffparadox import metrics, netgen
+from ffparadox import cli, metrics, netgen
 from ffparadox.errors import ImpossibleSequenceError
 from ffparadox.netgen import (
     Graph,
@@ -169,6 +169,13 @@ class TestGenerateContracts:
             for model in (Model.A, Model.B)
         }
         assert mean_components[Model.B] > mean_components[Model.A]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_model_b_drops_no_stub_at_kmax_10(self, seed):
+        # Every model-B block holds an even stub count, so no block is left
+        # with one stub that has no partner.
+        _, seq = cli._target_sequence(PowerLawSpec(2, 1, 10), 10_000, seed)
+        assert cli._realize(seq, seed, 10, Model.B)[1] == 0
 
     def test_model_b_block_size_configurable(self):
         seq = powerlaw_sequence(2000, 20, sample_seed=7)
