@@ -17,10 +17,20 @@ BFS, Then et al., VLDB 2014): each vertex holds one bit per source in
 ``uint64`` words, and a level is one OR over every vertex's neighbours'
 words.  Efficiency pop-counts each level: the exact integer counts N_k of
 ordered pairs at hop distance k give the sum of 1/d(i, j) as the sum of
-N_k / k, independent of vertex labels, windows and batches.  Betweenness
-unpacks each level into the flat indices of its (vertex, source) entries,
-counts shortest paths to them with one sparse matrix product per level,
-and accumulates Brandes' dependencies back down those index lists.
+N_k / k, independent of vertex labels, windows and batches.
+
+Betweenness runs that engine on the 2-core alone (Baglioni, Geraci,
+Pellegrini & Lastres, ASONAM 2012).  Degree-1 vertices are peeled in
+vectorized rounds, each handing its weight (1 plus its peeled children's)
+to its one live neighbour; every shortest path into a pendant tree is
+fixed.  On the weighted core, each level is unpacked into the flat indices
+of its (vertex, source) entries, shortest paths to them are counted with
+one sparse matrix product per level, and Brandes' dependencies, seeded by
+each vertex's weight instead of 1, flow back down those index lists, scaled
+by the source's weight.  Each vertex then adds the pairs its tree branches
+separate, an exact integer from its component's size and its subtree
+weights; a component that is a tree has those terms alone and is not
+traversed.
 """
 
 from __future__ import annotations
@@ -130,17 +140,11 @@ def components(g: Graph) -> list[int]:
     return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
-def _batches(g: Graph):
-    """Source batches of an all-sources traversal, a window of components at
-    a time.
+def _labels(g: Graph):
+    """Component label of every vertex and the size of every component.
 
-    Components of two or more vertices are permuted to the front.  Each one
-    larger than ``_BATCH`` is a window of its own; runs of consecutive
-    smaller ones are packed into windows of at most ``_BATCH`` vertices.
-    For each batch of sources in each window, yields the window's vertex
-    ids, its adjacency in local ids, the ``(lo, hi)`` spans of local ids of
-    its components, and the batch's first source and size (its sources are
-    local vertices ``start`` to ``start + b - 1``).
+    Raises ``TooManyPairsError`` when the connected ordered vertex pairs,
+    the sum of c(c - 1) over component sizes c, exceed ``_MAX_PAIRS``.
     """
     _, labels = csgraph.connected_components(g.adjacency, directed=False)
     sizes = np.bincount(labels)
@@ -149,15 +153,32 @@ def _batches(g: Graph):
         raise TooManyPairsError(
             f"{pairs} connected ordered vertex pairs exceed the limit of {_MAX_PAIRS}"
         )
-    # Permuted once, components of two or more vertices come first, each a
-    # contiguous diagonal block.  A packed window's adjacency is still
-    # block-diagonal, so no path crosses from one of its components to another.
-    order = np.lexsort((labels, sizes[labels] == 1))
+    return labels, sizes
+
+
+def _batches(g: Graph, labels, vertices):
+    """Source batches of an all-sources traversal of the subgraph induced by
+    ``vertices``, a window of components at a time.
+
+    ``vertices`` are ascending ids whose components under ``labels`` each
+    keep two or more of them, and each such component's induced subgraph is
+    connected.  Ordered by label, each component is a contiguous diagonal
+    block.  Each one larger than ``_BATCH`` is a window of its own; runs of
+    consecutive smaller ones are packed into windows of at most ``_BATCH``
+    vertices.  For each batch of sources in each window, yields the window's
+    vertex ids, its adjacency in local ids, the ``(lo, hi)`` spans of local
+    ids of its components, and the batch's first source and size (its
+    sources are local vertices ``start`` to ``start + b - 1``).
+    """
+    # A packed window's adjacency is still block-diagonal, so no path
+    # crosses from one of its components to another.
+    order = vertices[np.argsort(labels[vertices], kind="stable")]
     permuted = g.adjacency[order][:, order]
+    sizes = np.bincount(labels[order])
     # Each window: its span of the permuted order, and its components' spans
     # within it.
     windows, parts, lo, hi = [], [], 0, 0
-    for size in sizes[sizes > 1].tolist():
+    for size in sizes[sizes > 0].tolist():
         if parts and hi + size - lo > _BATCH:
             windows.append((lo, hi, parts))
             parts, lo = [], hi
@@ -183,8 +204,8 @@ def _levels(adj, start, b):
     while True:
         # A vertex's next frontier is the OR of its neighbours' words.
         # reduceat gives an empty row its start element, not 0: every row
-        # here has a neighbour, since singletons are permuted out of every
-        # window.
+        # here has a neighbour, since every window's components have two or
+        # more vertices and are connected.
         frontier = np.bitwise_or.reduceat(
             frontier.take(adj.indices, axis=0), adj.indptr[:-1], axis=0
         )
@@ -202,24 +223,73 @@ def global_efficiency(g: Graph) -> float:
         raise ValueError("global efficiency needs at least 2 vertices")
     # counts[k]: ordered pairs at hop distance k, exact integers.
     counts = Counter()
-    for _, adj, _, start, b in _batches(g):
+    labels, sizes = _labels(g)
+    vertices = np.flatnonzero(sizes[labels] > 1)
+    for _, adj, _, start, b in _batches(g, labels, vertices):
         for k, frontier in enumerate(_levels(adj, start, b), 1):
             counts[k] += int(np.bitwise_count(frontier).sum())
     total = sum(counts[k] / k for k in sorted(counts))
     return total / (n * (n - 1))
 
 
-def betweenness(g: Graph) -> np.ndarray:
-    """Exact betweenness centrality (unordered-pair counting) of every vertex:
-    Brandes' dependencies flow back down each batch's breadth-first levels.
+def _peel(g: Graph):
+    """Peel the pendant trees off ``g``: its degree-1 vertices, in rounds.
 
-    The forward pass keeps each level of ``_levels`` as the flat indices of
-    its entries in a dense (vertex, source) block, with their shortest-path
-    counts (``DivergentError`` past the float range); filled in at one level
-    only, the block spreads that level's counts in one sparse product.
+    Each peeled vertex hands its weight (1 plus the weights of its peeled
+    children) to its one live neighbour, and adds the weight's square to
+    that neighbour's sum of squared child weights.  Two leaves joined to
+    each other, a tree's last edge, peel only the smaller id.  Returns every
+    vertex's weight, its sum of squared child weights, and whether it is in
+    the 2-core (live with two or more live neighbours); a live vertex with
+    none is the root of a component that is a tree.
     """
+    indptr, indices = g.adjacency.indptr, g.adjacency.indices
+    degree = np.diff(indptr)
+    # XOR of each vertex's live neighbours: a leaf's is its one neighbour.
+    # reduceat gives an empty row its start element, but an isolated vertex
+    # is never a leaf or a parent.
+    other = np.bitwise_xor.reduceat(
+        np.append(indices, 0).astype(np.int64), indptr[:-1]
+    )
+    weight = np.ones(g.n, dtype=np.int64)
+    squares = np.zeros(g.n, dtype=np.int64)
+    leaves = np.flatnonzero(degree == 1)
+    while leaves.size:
+        parents = other[leaves]
+        # A leaf whose parent is a leaf too is that parent's one neighbour.
+        keep = (degree[parents] != 1) | (leaves < parents)
+        leaves, parents = leaves[keep], parents[keep]
+        np.add.at(weight, parents, weight[leaves])
+        np.add.at(squares, parents, weight[leaves] ** 2)
+        np.subtract.at(degree, parents, 1)
+        np.bitwise_xor.at(other, parents, leaves)
+        degree[leaves] = 0
+        leaves = np.unique(parents[degree[parents] == 1])
+    return weight, squares, degree > 1
+
+
+def betweenness(g: Graph) -> np.ndarray:
+    """Exact betweenness centrality (unordered-pair counting) of every vertex.
+
+    The pendant trees are peeled first (``_peel``).  Every shortest path
+    that enters a tree is fixed, so on the weighted 2-core Brandes'
+    dependencies count each pair of core vertices u, v as weight(u) x
+    weight(v) pairs, and each vertex v adds, exactly, the unordered pairs
+    that only v's tree branches separate: ((c - 1)^2 - sum of its children's
+    squared weights - (c - weight(v))^2) / 2 in a component of c vertices.
+    A component that is a tree has only those terms.
+
+    On the core, the forward pass keeps each level of ``_levels`` as the
+    flat indices of its entries in a dense (vertex, source) block, with
+    their shortest-path counts (``DivergentError`` past the float range);
+    filled in at one level only, the block spreads that level's counts in
+    one sparse product.  Dependencies flow back down the same levels.
+    """
+    labels, sizes = _labels(g)
+    weight, squares, core = _peel(g)
     bc = np.zeros(g.n)
-    for members, adj, parts, start, b in _batches(g):
+    for members, adj, parts, start, b in _batches(g, labels, np.flatnonzero(core)):
+        local = weight[members].astype(float)
         flat = np.zeros(adj.shape[0] * b)
         block = flat.reshape(-1, b)
         # Source j is local vertex start + j: entry (start + j) * b + j.
@@ -242,20 +312,24 @@ def betweenness(g: Graph) -> np.ndarray:
         # Stopping at level 2 leaves the sources' own dependency at zero.
         for lev in range(len(levels) - 1, 1, -1):
             idx, sigma = levels[lev]
-            flat[idx] = (1.0 + delta[idx]) / sigma
+            flat[idx] = (local[idx // b] + delta[idx]) / sigma
             spread = adj.dot(block).ravel()
             flat[idx] = 0.0
             prev, prev_sigma = levels[lev - 1]
             delta[prev] = prev_sigma * spread[prev]
         rows = delta.reshape(block.shape)
+        # Source column j stands for the weight(start + j) vertices of its tree.
+        rows *= local[start:start + b]
         # Summing each component's own rows and columns, not the whole
         # window's, keeps every sum's operands and order those of a
         # component traversed alone (a component larger than a batch has
         # one span, which covers all the batch's columns).
         for lo, hi in parts:
             bc[members[lo:hi]] += rows[lo:hi, lo:hi].sum(axis=1)
-    # Each unordered pair was counted from both endpoints.
-    return bc / 2.0
+    c = sizes[labels]
+    trees = ((c - 1) ** 2 - squares - (c - weight) ** 2) // 2
+    # Each unordered pair of core vertices was counted from both endpoints.
+    return bc / 2.0 + trees
 
 
 def central_point_dominance(g: Graph) -> float:

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, at the stated tolerances.
+"""Acceptance suite: one test per criterion, at the stated tolerances, and
+a full-size oracle for the betweenness behind criterion 9.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS lines.  Criteria with runtime budgets time their computational core.
@@ -240,6 +241,33 @@ def test_criterion_9_model_structure(structure_graphs):
           f">= 0.9; B has {len(comp[Model.B])} components with efficiency "
           f"{eff_b:.4f} < A's {eff_a:.4f}; CPD KALISKY {cpd_k:.4f} >= "
           f"B {cpd_b:.5f}")
+
+
+def inner_path_vertices(g):
+    """Half the sum of N_k (k - 1) over hop distances k, where N_k counts the
+    ordered vertex pairs at distance k, pop-counted from the breadth-first
+    levels of the whole graph: each unordered pair's shortest paths have
+    k - 1 inner vertices, so betweenness sums to this."""
+    labels, sizes = metrics._labels(g)
+    vertices = np.flatnonzero(sizes[labels] > 1)
+    total = 0
+    for _, adj, _, start, b in metrics._batches(g, labels, vertices):
+        for k, frontier in enumerate(metrics._levels(adj, start, b), 1):
+            total += (k - 1) * int(np.bitwise_count(frontier).sum())
+    assert total % 2 == 0
+    return total // 2
+
+
+@pytest.mark.parametrize("model, want", [(Model.KALISKY, 177_743_543),
+                                         (Model.B, 1_483_466)])
+def test_criterion_9_betweenness_sums_inner_path_vertices(structure_graphs,
+                                                          model, want):
+    g = structure_graphs[1][model]
+    assert inner_path_vertices(g) == want
+    total = metrics.betweenness(g).sum()
+    assert total == pytest.approx(want, rel=1e-12)
+    print(f"criterion 9 oracle PASS: {model.value} betweenness sums to "
+          f"{total:.1f}, the {want} inner vertices of shortest paths")
 
 
 def test_criterion_10_fit_round_trips():

@@ -6,6 +6,7 @@ every shortest path for betweenness.
 """
 
 import math
+import time
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+from ffparadox import metrics
 from ffparadox.errors import (
     AllIsolatedError,
     DivergentError,
@@ -481,6 +483,145 @@ class TestEfficiencyWords:
         want = sum(2 * (n - k) / k for k in range(1, n)) / (n * (n - 1))
         assert global_efficiency(g) == want == distance_histogram_efficiency(g)
         assert_matches_networkx(g)
+
+
+def branch_products(g):
+    """Betweenness of every vertex of a forest as exact integers: the sum of
+    n_i n_j over the pairs of branches, of n_i and n_j vertices, that
+    removing the vertex leaves.  Branch sizes come from the subtree sizes of
+    a breadth-first rooting of each tree."""
+    _, labels = csgraph.connected_components(g.adjacency, directed=False)
+    sizes = np.bincount(labels).tolist()
+    below = [1] * g.n
+    children = [[] for _ in range(g.n)]
+    for root in np.unique(labels, return_index=True)[1].tolist():
+        order, parent = csgraph.breadth_first_order(g.adjacency, root, directed=False)
+        for v in order[:0:-1].tolist():
+            below[parent[v]] += below[v]
+            children[parent[v]].append(v)
+    bc = []
+    for v in range(g.n):
+        total = run = 0
+        for size in [below[u] for u in children[v]] + [sizes[labels[v]] - below[v]]:
+            total += run * size
+            run += size
+        bc.append(total)
+    return bc
+
+
+@st.composite
+def cores_with_trees(draw):
+    """(n, edges): a cycle with chords, trees hung from it, components that
+    are trees (a path of four among them, whose middle two vertices are
+    leaves of each other once its ends are gone), two-vertex components and
+    isolated ids, all ids shuffled."""
+    k = draw(st.integers(3, 12))
+    edges = {(v, (v + 1) % k) for v in range(k)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=k)):
+        edges.add((u, v))
+    n = k
+    # Each vertex of a hung tree joins an earlier vertex of the core's component.
+    for parent in draw(st.lists(st.integers(0, 10**6), max_size=25)):
+        edges.add((parent % n, n))
+        n += 1
+    parents = st.lists(st.integers(0, 10**6), min_size=1, max_size=10)
+    for tree in [[0, 1, 2]] + draw(st.lists(parents, max_size=3)):
+        for i, parent in enumerate(tree, 1):
+            edges.add((n + parent % i, n + i))
+        n += len(tree) + 1
+    for _ in range(draw(st.integers(0, 3))):
+        edges.add((n, n + 1))
+        n += 2
+    n += draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n)))
+    edges = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+    return n, [(ids[u], ids[v]) for u, v in edges]
+
+
+class TestPendantTrees:
+    """Betweenness peels the pendant trees, traverses the weighted 2-core and
+    adds each vertex's tree terms."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(cores_with_trees())
+    def test_trees_around_a_cyclic_core_match_networkx(self, case):
+        n, edges = case
+        g = graph_from(n, edges)
+        assert_matches_networkx(g)
+        # On components that are trees, the values are exact integers.
+        _, labels = csgraph.connected_components(g.adjacency, directed=False)
+        sizes = np.bincount(labels, minlength=n)
+        tree = np.bincount(labels[g.edges[:, 0]], minlength=n) == sizes - 1
+        forest = graph_from(n, [(u, v) for u, v in edges if tree[labels[u]]])
+        on_trees = tree[labels]
+        want = np.array(branch_products(forest))
+        assert np.array_equal(betweenness(g)[on_trees], want[on_trees])
+
+    def test_adjacent_leaves_peel_only_the_smaller_id(self):
+        # A two-vertex component and a path of four, whose middle vertices
+        # are both leaves in the second round, in both id orders: the larger
+        # id of each last pair is left as the root, holding the whole tree.
+        for edges in ([(0, 1), (1, 2), (2, 3), (4, 5)],
+                      [(3, 2), (2, 0), (0, 1), (5, 4)]):
+            g = graph_from(6, edges)
+            weight, _, core = metrics._peel(g)
+            assert not core.any()
+            assert weight[[2, 5]].tolist() == [4, 2]
+            assert np.array_equal(betweenness(g), branch_products(g))
+
+    def test_star(self):
+        g = graph_from(7, [(0, v) for v in range(1, 7)])
+        assert betweenness(g).tolist() == [15.0] + [0.0] * 6
+
+    def test_cycle_with_a_pendant_path(self):
+        # A 5-cycle 0..4 with the path 4-5-6-7 hanging from vertex 4.
+        edges = [(v, (v + 1) % 5) for v in range(5)] + [(4, 5), (5, 6), (6, 7)]
+        g = graph_from(8, edges)
+        assert betweenness(g)[[5, 6, 7]].tolist() == [10.0, 6.0, 0.0]
+        assert_matches_networkx(g)
+
+    def test_barbell_with_tails(self):
+        nx = pytest.importorskip("networkx")
+        reference = nx.barbell_graph(5, 3)  # two K5 joined by a 3-vertex path
+        n = reference.number_of_nodes()
+        reference.add_edges_from([(0, n), (n, n + 1), (n + 1, n + 2), (12, n + 3)])
+        g = graph_from(n + 4, list(reference.edges()))
+        assert_matches_networkx(g)
+
+    def test_long_path_is_exact_and_fast(self):
+        n = 3000
+        g = graph_from(n, [(v, v + 1) for v in range(n - 1)])
+        start = time.perf_counter()
+        got = betweenness(g)
+        assert time.perf_counter() - start < 2.0
+        k = np.arange(n)
+        assert np.array_equal(got, k * (n - 1 - k))
+
+    def test_random_tree_of_20000_vertices(self):
+        # Each vertex joins one of the 50 before it: about 800 peeling rounds.
+        rng = np.random.default_rng(20)
+        n = 20000
+        ids = rng.permutation(n)
+        edges = [(ids[int(rng.integers(max(0, v - 50), v))], ids[v])
+                 for v in range(1, n)]
+        g = graph_from(n, edges)
+        assert np.array_equal(betweenness(g), branch_products(g))
+
+    def test_one_component_labelling_per_call(self, monkeypatch):
+        labellings = []
+        label = csgraph.connected_components
+
+        def counted(*args, **kwargs):
+            labellings.append(1)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(metrics.csgraph, "connected_components", counted)
+        g = graph_from(8, [(v, (v + 1) % 5) for v in range(5)] + [(4, 5), (6, 7)])
+        for metric in (betweenness, global_efficiency):
+            labellings.clear()
+            metric(g)
+            assert len(labellings) == 1
 
 
 def bipartite_chain(layers):
