@@ -87,9 +87,8 @@ def _sub_seed(seed: int, k_max: float, tag: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _target_sequence(spec: PowerLawSpec, n: int, seed: int):
-    """The continuous degree sample of (seed, k_max) and the graphical
-    integer sequence rounded from it.
+def _target_sequence(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
+    """The graphical integer degree sequence of (seed, k_max).
 
     ``experiment`` and ``generate`` both derive their graphs through this
     and ``_realize``, so a generated network is the one measured in the
@@ -97,9 +96,8 @@ def _target_sequence(spec: PowerLawSpec, n: int, seed: int):
     """
     if n > netgen._MAX_N:
         raise DomainError(f"n = {n} exceeds the limit of {netgen._MAX_N} vertices")
-    k_max = spec.k_max
-    sample, seq = powerlaw.draw_degrees(spec, n, _sub_seed(seed, k_max, _TAG_SAMPLE))
-    return sample, netgen.make_graphical(seq, seed=_sub_seed(seed, k_max, _TAG_PARITY))
+    seq = powerlaw.sample_degrees(spec, n, _sub_seed(seed, spec.k_max, _TAG_SAMPLE))
+    return netgen.make_graphical(seq, seed=_sub_seed(seed, spec.k_max, _TAG_PARITY))
 
 
 def _realize(seq, seed: int, k_max: float, model: Model):
@@ -113,10 +111,7 @@ def _parse_values(text: str, name: str) -> list[float]:
     text = text.strip()
     try:
         if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = (float(p) for p in text.split(":"))
             if not (step > 0 and stop >= start):
                 raise ValueError
             span = (stop - start) / step + 1e-9  # int(span) + 1 values
@@ -199,7 +194,11 @@ def run_experiment(
         predicted = powerlaw.predict(spec).var_to_mean
         targets = {}  # seed -> (sequence, alpha_hat, fit error code)
         for seed in seeds:
-            sample, seq = _target_sequence(spec, n, seed)
+            seq = _target_sequence(spec, n, seed)
+            # The fit reads the continuous draws that seq was rounded from.
+            sample = powerlaw.sample_continuous(
+                spec, n, _sub_seed(seed, k_max, _TAG_SAMPLE)
+            )
             try:
                 result = fit.fit_alpha(sample, k_min=k_min, k_max=k_max)
                 targets[seed] = seq, result.alpha_hat, None
@@ -322,7 +321,7 @@ def _cmd_generate(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
     model = Model(args.model)
-    _, seq = _target_sequence(spec, args.n, args.seed)
+    seq = _target_sequence(spec, args.n, args.seed)
     g, dropped = _realize(seq, args.seed, spec.k_max, model)
     _emit(netgen.format_edge_list(g), args.out)
     sys.stderr.write(f"{len(g.edges)} edges on {g.n} vertices ({dropped} stubs dropped)\n")

@@ -3,7 +3,8 @@
 The paradox statistics need only a degree sequence (or histogram); the
 structural metrics (components, global efficiency, betweenness-based central
 point dominance) operate on the graph's CSR adjacency matrix,
-``Graph.adjacency``, through ``scipy.sparse`` and ``scipy.sparse.csgraph``.
+``Graph.adjacency``, through ``scipy.sparse``, and read its component labels,
+``Graph.labels``, which a graph computes once for all of them.
 
 Efficiency and betweenness share one breadth-first engine.  Each connected
 component of two or more vertices is traversed on its own, small components
@@ -39,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import AllIsolatedError, DivergentError, TooManyPairsError
 from .netgen import Graph
@@ -136,8 +136,7 @@ def kff_from_histogram(hist) -> float:
 
 def components(g: Graph) -> list[int]:
     """Connected-component sizes, largest first; they sum to n."""
-    _, labels = csgraph.connected_components(g.adjacency, directed=False)
-    return sorted(np.bincount(labels).tolist(), reverse=True)
+    return sorted(np.bincount(g.labels).tolist(), reverse=True)
 
 
 def _labels(g: Graph):
@@ -146,14 +145,13 @@ def _labels(g: Graph):
     Raises ``TooManyPairsError`` when the connected ordered vertex pairs,
     the sum of c(c - 1) over component sizes c, exceed ``_MAX_PAIRS``.
     """
-    _, labels = csgraph.connected_components(g.adjacency, directed=False)
-    sizes = np.bincount(labels)
+    sizes = np.bincount(g.labels)
     pairs = int((sizes * (sizes - 1)).sum())
     if pairs > _MAX_PAIRS:
         raise TooManyPairsError(
             f"{pairs} connected ordered vertex pairs exceed the limit of {_MAX_PAIRS}"
         )
-    return labels, sizes
+    return g.labels, sizes
 
 
 def _batches(g: Graph, labels, vertices):

@@ -24,12 +24,13 @@ gives the same graph on every CPU.  Realizations and files read are ``Graph``s.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import ImpossibleSequenceError
 
@@ -66,12 +67,13 @@ class Graph:
     weights, sorted column indices): row ``v`` lists the neighbours of ``v``
     in ascending order.  ``edges`` is a read-only ``(m, 2)`` int64 array of
     the upper entries ``(u, v)``, ``u < v``, in that order, so it is a
-    canonical representation and file output is bit-exact.
+    canonical representation and file output is bit-exact.  ``labels`` is
+    found on first use and kept: a graph is labelled once.
     """
 
     n: int
     edges: np.ndarray
-    adjacency: sparse.csr_matrix
+    adjacency: csr_matrix
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -108,11 +110,18 @@ class Graph:
         canon = np.column_stack(np.divmod(both[both < column * (n + 1)], n))
         canon.flags.writeable = False
         indptr = np.searchsorted(both, np.arange(n + 1) * n)
-        adjacency = sparse.csr_matrix((np.ones(both.size), column, indptr), shape=(n, n))
+        adjacency = csr_matrix((np.ones(both.size), column, indptr), shape=(n, n))
         return Graph(n=n, edges=canon, adjacency=adjacency)
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.adjacency.indptr).astype(np.int64)
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only connected-component label of every vertex."""
+        _, labels = csgraph.connected_components(self.adjacency, directed=False)
+        labels.flags.writeable = False
+        return labels
 
 
 def make_graphical(seq, seed: int = 0) -> np.ndarray:

@@ -246,27 +246,20 @@ def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
     return k
 
 
-def draw_degrees(spec: PowerLawSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``sample_continuous`` and the integer degrees rounded
-    half-up from them; an unbounded k_max, whose degrees would form no
-    bounded sequence, is refused before drawing, and a draw of 2**63 or
-    more, which no int64 degree holds, before rounding."""
+def sample_degrees(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
+    """Integer degree sequence: the draws of ``sample_continuous`` for the
+    same seed, rounded half-up into [round(k_min), round(k_max)].
+
+    An unbounded k_max, whose degrees would form no bounded sequence, is
+    refused before drawing, and a draw of 2**63 or more, which no int64
+    degree holds, before rounding.
+    """
     if spec.is_infinite:
         raise DivergentError("degree sampling requires finite k_max")
     sample = sample_continuous(spec, n, seed)
-    top = sample.max(initial=0.0)
-    if top >= 2.0**63:
+    if (top := sample.max(initial=0.0)) >= 2.0**63:
         raise DivergentError(
             f"a draw of {top:g} exceeds the int64 degree range for "
             f"alpha={spec.alpha}, k_min={spec.k_min}, k_max={spec.k_max}"
         )
-    return sample, np.floor(sample + 0.5).astype(np.int64)
-
-
-def sample_degrees(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
-    """Integer degree sequence: the rounded draws of ``draw_degrees``.
-
-    Deterministic for a fixed seed; every value lies within
-    [round(k_min), round(k_max)].
-    """
-    return draw_degrees(spec, n, seed)[1]
+    return np.floor(sample + 0.5).astype(np.int64)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffparadox
-from ffparadox import powerlaw
-from ffparadox.cli import _parse_values, main, run_experiment, run_sweep
+from ffparadox import cli, fit, powerlaw
+from ffparadox.cli import UsageError, _parse_values, main, run_experiment, run_sweep
 from ffparadox.metrics import stats_from_degrees
 from ffparadox.netgen import Model
 from ffparadox.powerlaw import PowerLawSpec
@@ -143,10 +143,12 @@ class TestSweepCommand:
         assert first == second
 
     def test_bad_range_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "sweep", "--alphas", "1.5:3.0",
-                           "--kmaxs", "10")
-        assert code == 1
-        assert "usage" in err.lower()
+        # Not three numbers, a backward range, or an empty list.
+        for kmaxs in ("1.5:3.0", "1:2:3:4", "1::2", ":", "5:1:1", ","):
+            code, out, err = run(capsys, "sweep", "--alphas", "2", "--kmaxs", kmaxs)
+            assert code == 1 and out == ""
+            assert err == (f"usage error: cannot parse --kmaxs {kmaxs!r}: "
+                           "expected 'a,b,c' or 'start:stop:step'\n")
 
     @pytest.mark.parametrize("alphas", ["1.5:1e12:1e-3", "1.5:inf:1"])
     def test_huge_range_is_usage_error(self, capsys, alphas):
@@ -288,6 +290,34 @@ class TestExperimentCommand:
         assert err == (
             f"usage error: ffparadox: unrecognized arguments: --block-size {block_size}\n"
         )
+
+    def test_no_seeds_is_usage_error(self):
+        with pytest.raises(UsageError) as info:
+            run_experiment(2.0, 1.0, [10.0], 300, [Model.A], seeds=[])
+        assert str(info.value) == "at least one seed is required"
+
+    @pytest.mark.parametrize("seed, k_max", [(0, 10.0), (3, 100.0), (7, 1000.0)])
+    def test_fit_reads_the_draws_of_the_target_sequence(self, monkeypatch, seed,
+                                                        k_max):
+        # The fit's sample and the integer sequence share one sub-seed: the
+        # sample rounds to sample_degrees' draw, which make_graphical's parity
+        # bump may raise by 1 at one vertex.
+        fitted = []
+        fit_alpha = fit.fit_alpha
+
+        def captured(data, **kwargs):
+            fitted.append(data.copy())
+            return fit_alpha(data, **kwargs)
+
+        monkeypatch.setattr(fit, "fit_alpha", captured)
+        run_experiment(2.0, 1.0, [k_max], 1001, [Model.A], [seed])
+        spec = PowerLawSpec(2.0, 1.0, k_max)
+        (sample,) = fitted
+        rounded = np.floor(sample + 0.5).astype(np.int64)
+        sub_seed = cli._sub_seed(seed, k_max, cli._TAG_SAMPLE)
+        assert np.array_equal(rounded, powerlaw.sample_degrees(spec, 1001, sub_seed))
+        bump = cli._target_sequence(spec, 1001, seed) - rounded
+        assert np.count_nonzero(bump) <= 1 and set(bump.tolist()) <= {0, 1}
 
     def test_small_n_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "experiment", "--n", "99", "--kmaxs", "10",
@@ -453,6 +483,18 @@ def test_draws_past_int64_are_domain_errors(capsys, command):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a draw of ") and "int64 degree range" in err
+
+
+# A malformed seed is a usage error, reported on one line before any work.
+@pytest.mark.parametrize("command, message", [
+    (["experiment", "--seeds", "0,x"], "cannot parse --seeds '0,x'"),
+    (["experiment", "--seeds=-1"], "seeds must be non-negative"),
+    (["generate", "--kmax", "10", "--seed", "-1"], "--seed must be non-negative"),
+], ids=["unparsed-seeds", "negative-seeds", "negative-seed"])
+def test_bad_seeds_are_usage_errors(capsys, command, message):
+    code, out, err = run(capsys, *command)
+    assert code == 1 and out == ""
+    assert err == f"usage error: {message}\n"
 
 
 # Both commands derive their graphs through one seed-to-graph path, which

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ffparadox.errors import (
     DivergentError,
     NoMaximumError,
+    NonMonotoneError,
     OutOfRangeError,
     TooFewPointsError,
 )
@@ -85,6 +86,12 @@ class TestFitAlpha:
         best = log_likelihood(a_hat)
         assert best >= log_likelihood(a_hat - 1e-4)
         assert best >= log_likelihood(a_hat + 1e-4)
+
+    def test_estimate_off_the_bracket_has_no_maximum(self):
+        # The unbounded MLE, 1 + 20 / (10 ln 1.01), is about 202.
+        with pytest.raises(NoMaximumError) as info:
+            fit_alpha([1.0, 1.01] * 10)
+        assert str(info.value) == "maximum-likelihood alpha 202 outside (1.001, 6]"
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
@@ -167,6 +174,13 @@ class TestAlphaFromMoment:
     def test_huge_observed_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             alpha_from_moment(1e9, Moment.MEAN, 1.0, 100.0)
+
+    def test_point_mass_is_not_monotone(self):
+        with pytest.raises(NonMonotoneError) as info:
+            alpha_from_moment(5.0, Moment.MEAN, 5.0, 5.0)
+        assert str(info.value) == (
+            "MEAN is not decreasing in alpha on the bracket for k_min=5.0, k_max=5.0"
+        )
 
     def test_unbounded_support_rejected(self):
         with pytest.raises(DivergentError):

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
-from ffparadox import metrics
+from ffparadox import metrics, netgen
 from ffparadox.errors import (
     AllIsolatedError,
     DivergentError,
@@ -319,6 +319,25 @@ class TestCentralPointDominance:
             assert 0.0 <= value <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: stats_from_degrees([]), "degree sequence must be nonempty"),
+    (lambda: stats_from_degrees([-1, 2]),
+     "degrees and frequencies must be non-negative"),
+    (lambda: kff_from_histogram({2: -1, 3: 2}),
+     "degrees and frequencies must be non-negative"),
+    (lambda: global_efficiency(graph_from(1, [])),
+     "global efficiency needs at least 2 vertices"),
+    (lambda: central_point_dominance(graph_from(2, [(0, 1)])),
+     "central point dominance needs at least 3 vertices"),
+], ids=["empty-sequence", "negative-degree", "negative-frequency",
+        "efficiency-of-one-vertex", "dominance-of-two-vertices"])
+def test_invalid_input_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def assert_matches_networkx(g):
     """Efficiency and betweenness against networkx; betweenness is taken one
     component at a time, where no shortest path leaves the component."""
@@ -609,6 +628,7 @@ class TestPendantTrees:
         assert np.array_equal(betweenness(g), branch_products(g))
 
     def test_one_component_labelling_per_call(self, monkeypatch):
+        # A graph labels its components once, however many metrics read them.
         labellings = []
         label = csgraph.connected_components
 
@@ -616,12 +636,12 @@ class TestPendantTrees:
             labellings.append(1)
             return label(*args, **kwargs)
 
-        monkeypatch.setattr(metrics.csgraph, "connected_components", counted)
+        monkeypatch.setattr(netgen.csgraph, "connected_components", counted)
         g = graph_from(8, [(v, (v + 1) % 5) for v in range(5)] + [(4, 5), (6, 7)])
-        for metric in (betweenness, global_efficiency):
-            labellings.clear()
+        for metric in (components, global_efficiency, betweenness,
+                       central_point_dominance):
             metric(g)
-            assert len(labellings) == 1
+        assert len(labellings) == 1
 
 
 def bipartite_chain(layers):

@@ -89,6 +89,15 @@ class TestGenerateSmall:
         with pytest.raises(ValueError):
             generate([1, 1, 1], Model.A, seed=0)
 
+    @pytest.mark.parametrize("seq, message", [
+        ([], "degree sequence must be nonempty"),
+        ([3, -1, 0, 0], "degrees must be non-negative"),
+    ], ids=["empty", "negative"])
+    def test_invalid_sequence_rejected(self, seq, message):
+        with pytest.raises(ValueError) as info:
+            generate(seq, Model.A, seed=0)
+        assert str(info.value) == message
+
 
 class TestGenerateContracts:
     @pytest.mark.parametrize("model", list(Model))
@@ -174,7 +183,7 @@ class TestGenerateContracts:
     def test_model_b_drops_no_stub_at_kmax_10(self, seed):
         # Every model-B block holds an even stub count, so no block is left
         # with one stub that has no partner.
-        _, seq = cli._target_sequence(PowerLawSpec(2, 1, 10), 10_000, seed)
+        seq = cli._target_sequence(PowerLawSpec(2, 1, 10), 10_000, seed)
         assert cli._realize(seq, seed, 10, Model.B)[1] == 0
 
     def test_model_b_block_size_configurable(self):
@@ -206,6 +215,12 @@ class TestDropReport:
         report = drop_report(g, [3, 1])
         assert report.total == 2
         assert report.per_vertex == (2, 0)
+
+    def test_sequence_of_another_length_rejected(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError) as info:
+            drop_report(g, [1, 1])
+        assert str(info.value) == "sequence length does not match vertex count"
 
     def test_handshake_identity(self):
         seq = powerlaw_sequence(300, 25, sample_seed=9)

@@ -21,7 +21,6 @@ from ffparadox.powerlaw import (
     PowerLawSpec,
     _log_e_slope,
     cdf,
-    draw_degrees,
     normalization_constant,
     pdf,
     predict,
@@ -498,7 +497,7 @@ class TestSampling:
     def test_draws_past_int64_are_refused_before_rounding(self):
         # 644 of these 1 000 draws are 2**63 or more, which no int64 holds.
         with pytest.raises(DivergentError, match="int64 degree range"):
-            draw_degrees(PowerLawSpec(1.01, 1.0, 1e300), 1000, 1)
+            sample_degrees(PowerLawSpec(1.01, 1.0, 1e300), 1000, 1)
 
     def test_largest_float_below_2_to_the_63_is_a_degree(self):
         top = 2.0**63 - 1024
@@ -506,6 +505,19 @@ class TestSampling:
         assert (degrees == 2**63 - 1024).all()
         with pytest.raises(DivergentError, match="int64 degree range"):
             sample_degrees(PowerLawSpec(2.0, 2.0**63, 2.0**63), 3, 0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cdf(PowerLawSpec(2.0, 5.0, 5.0), 5.0), DegenerateSupportError,
+     "cdf undefined for k_min == k_max"),
+    (lambda: sample_continuous(PowerLawSpec(2.0, 1.0, 100.0), -1, 0), ValueError,
+     "n must be non-negative"),
+], ids=["cdf-of-a-point-mass", "negative-sample-size"])
+def test_invalid_calls_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_alpha_within_rounding_of_one_is_answered():
