@@ -320,6 +320,8 @@ def _cmd_generate(args) -> int:
     spec = PowerLawSpec(args.alpha, args.kmin, args.kmax)
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    if args.n < 1:
+        raise UsageError("n must be at least 1")
     model = Model(args.model)
     seq = _target_sequence(spec, args.n, args.seed)
     g, dropped = _realize(seq, args.seed, spec.k_max, model)

@@ -16,10 +16,13 @@ wiring style while keeping the degree sequence (almost) intact:
 
 Pairing rounds group shuffled stubs by block, pair them by reshaping and find
 self-loops and repeats from sorted edge codes ``lo * n + hi``; conflicts are
-placed by batched double-edge swaps inside their block.  Stubs still unplaced
-when pairing stalls are dropped and reported, never turned into loops or
-multi-edges.  Sorts whose tie order can reach a graph are stable, so a seed
-gives the same graph on every CPU.  Realizations and files read are ``Graph``s.
+placed by batched double-edge swaps inside their block.  In a conflict's last
+repair round a swap that can add only one of its two edges makes that one (a
+hop), and the pair takes the stub it displaced, passing a hub's stub on.
+Stubs still unplaced when pairing stalls are dropped and reported, never
+turned into loops or multi-edges.  Sorts whose tie order can reach a graph are
+stable, so a seed gives the same graph on every CPU.  Realizations and files
+read are ``Graph``s.
 """
 
 from __future__ import annotations
@@ -241,21 +244,22 @@ def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
     edge_block = edge_block[by_block]
     first = np.searchsorted(edge_block, block[u])
     count = np.searchsorted(edge_block, block[u], side="right") - first
-    swapped = np.empty(2 * u.size, dtype=np.int64)  # codes of the new edges
-    s = 0
-    placed = count == 0  # a pair with no edge to swap with never draws
+    swapped = np.empty(0, dtype=np.int64)  # sorted codes of the new edges
+    placed = np.zeros(u.size, dtype=bool)
     tries = 1
     while tries <= _MAX_TRIES:
-        owner = np.repeat(np.flatnonzero(~placed)[:budget // tries], tries)
+        # A pair with no edge to swap with in its block never draws.
+        owner = np.repeat(np.flatnonzero(~placed & (count > 0))[:budget // tries], tries)
         if not owner.size:
             break
         budget -= owner.size
         pick = (rng.random(owner.size) * (2 * count[owner])).astype(np.int64)
         j = by_block[first[owner] + (pick >> 1)]
-        x, y = edges[j, pick & 1], edges[j, 1 - (pick & 1)]
-        c1, c2 = _codes(u[owner], x, n), _codes(v[owner], y, n)
-        fits1 = (u[owner] != x) & ~_isin_sorted(c1, present, swapped[:s])
-        fits2 = (v[owner] != y) & ~_isin_sorted(c2, present, swapped[:s])
+        ends = np.stack((u[owner], v[owner]))
+        x, y = far = edges[j, np.stack((pick & 1, 1 - (pick & 1)))]
+        c1, c2 = new = _codes(ends, far, n)
+        taken = _isin_sorted(new.ravel(), present, swapped).reshape(new.shape)
+        fits1, fits2 = (ends != far) & ~taken
         full = fits1 & fits2 & (c1 != c2)
         f = np.flatnonzero(full | (fits1 | fits2) & (tries == _MAX_TRIES))
         f = f[np.unique(owner[f], return_index=True)[1]]  # a pair's first valid
@@ -270,17 +274,16 @@ def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
         edges[j[f], 0], edges[j[f], 1] = np.divmod(put, n)
         edges[m:m + add.size, 0], edges[m:m + add.size, 1] = np.divmod(add, n)
         m += add.size
-        swapped[s:s + put.size + add.size] = np.concatenate((put, add))
-        s += put.size + add.size
-        swapped[:s].sort(kind="stable")  # merges two sorted runs
+        swapped = np.concatenate((swapped, put, add))
+        swapped.sort(kind="stable")  # timsort keeps the sorted prefix as one run
         placed[owner[f[full[f]]]] = True
         hop = f[~full[f]]  # stays unplaced as the pair of the stub it displaced
         r, by_u = owner[hop], fits1[hop]
         u[r], v[r] = np.where(by_u, y[hop], u[r]), np.where(by_u, v[r], x[hop])
         tries *= 2
-    if s:
+    if swapped.size:
         _encode(edges, m, n, codes)
-    return m, u[~placed | (count == 0)], v[~placed | (count == 0)], budget
+    return m, u[~placed], v[~placed], budget
 
 
 def _check_sequence(degrees: np.ndarray):
@@ -376,8 +379,7 @@ def generate(seq, model: Model, seed: int) -> Graph:
         seeded, stubs = _attach_hubs_first(degrees, rng)
     else:
         seeded, stubs = np.empty((0, 2), dtype=np.int64), np.repeat(np.arange(n), degrees)
-    one_block = np.zeros(n, dtype=np.uint8)
-    block = _blocks(degrees, rng) if model is Model.B else one_block
+    block = _blocks(degrees, rng) if model is Model.B else np.zeros(n, dtype=np.uint8)
     return Graph.from_edges(n, _pair(stubs, n, rng, block, seeded))
 
 

@@ -248,10 +248,9 @@ def inner_path_vertices(g):
     ordered vertex pairs at distance k, pop-counted from the breadth-first
     levels of the whole graph: each unordered pair's shortest paths have
     k - 1 inner vertices, so betweenness sums to this."""
-    labels, sizes = metrics._labels(g)
-    vertices = np.flatnonzero(sizes[labels] > 1)
+    vertices = np.flatnonzero(metrics._sizes(g)[g.labels] > 1)
     total = 0
-    for _, adj, _, start, b in metrics._batches(g, labels, vertices):
+    for _, adj, _, start, b in metrics._batches(g, vertices):
         for k, frontier in enumerate(metrics._levels(adj, start, b), 1):
             total += (k - 1) * int(np.bitwise_count(frontier).sum())
     assert total % 2 == 0

@@ -497,6 +497,17 @@ def test_bad_seeds_are_usage_errors(capsys, command, message):
     assert err == f"usage error: {message}\n"
 
 
+# generate refuses a vertex count below 1 before drawing; one vertex is a
+# graph, on which a positive degree is a domain error.
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_generate_n_below_one_is_usage_error(capsys, n):
+    code, out, err = run(capsys, "generate", "--kmax", "10", "--n", n, "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == "usage error: n must be at least 1\n"
+    code, out, err = run(capsys, "generate", "--kmax", "10", "--n", "1", "--seed", "1")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 # Both commands derive their graphs through one seed-to-graph path, which
 # refuses a vertex count above the edge-list limit before drawing anything.
 @pytest.mark.parametrize("command", [

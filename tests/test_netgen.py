@@ -186,6 +186,16 @@ class TestGenerateContracts:
         seq = cli._target_sequence(PowerLawSpec(2, 1, 10), 10_000, seed)
         assert cli._realize(seq, seed, 10, Model.B)[1] == 0
 
+    def test_model_b_last_round_hop_keeps_drops_few_at_kmax_316(self):
+        # A hub's stub that no double swap can place is passed on by the
+        # last repair round's hop; without it these ten graphs drop several
+        # hundred stubs.
+        dropped = 0
+        for seed in range(10):
+            seq = cli._target_sequence(PowerLawSpec(2, 1, 316), 10_000, seed)
+            dropped += cli._realize(seq, seed, 316, Model.B)[1]
+        assert dropped <= 200
+
     def test_model_b_block_size_configurable(self):
         seq = powerlaw_sequence(2000, 20, sample_seed=7)
         with mock.patch.object(netgen, "_BLOCK_SIZE", 16):
