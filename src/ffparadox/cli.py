@@ -205,15 +205,11 @@ def run_experiment(
             except DomainError as exc:
                 targets[seed] = seq, None, exc.code
 
-        fitted = [a for _, a, _ in targets.values() if a is not None]
-        if fitted:
-            band = [
-                powerlaw.predict(PowerLawSpec(a, k_min, k_max)).var_to_mean
-                for a in fitted
-            ]
-            lo, hi = min(band), max(band)
-        else:
-            lo = hi = None
+        band = [
+            powerlaw.predict(PowerLawSpec(a, k_min, k_max)).var_to_mean
+            for _, a, _ in targets.values() if a is not None
+        ]
+        lo, hi = min(band, default=None), max(band, default=None)
 
         for model in models:
             for seed in seeds:

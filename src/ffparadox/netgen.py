@@ -159,13 +159,6 @@ def _isin_sorted(q: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     return found
 
 
-def _encode(edges: np.ndarray, m: int, n: int, codes: np.ndarray):
-    """Write the sorted codes of ``edges[:m]`` into ``codes[:m]``."""
-    np.multiply(edges[:m, 0], n, out=codes[:m])
-    codes[:m] += edges[:m, 1]
-    codes[:m].sort()
-
-
 def _shuffle(stubs: np.ndarray, block: np.ndarray, rng) -> np.ndarray:
     """``stubs`` grouped by ascending block id (``block`` holds one per
     vertex), in random order inside each block."""
@@ -189,46 +182,46 @@ def _pair(stubs: np.ndarray, n: int, rng, block: np.ndarray, seeded: np.ndarray)
     (``block`` holds a block id per vertex), after the ``seeded`` edges.
     What ``_place`` and ``_swap_repair`` (at most 10 * |edges| swap
     candidates) leave is reshuffled, or after a stall arranged by
-    ``_halves``, until none is left or three rounds in a row stall."""
-    # Each placement adds one edge; ``codes[:m]`` are the sorted edge codes.
-    m = len(seeded)
-    edges = np.empty((m + stubs.size // 2, 2), dtype=np.int64)
-    codes = np.empty(len(edges), dtype=np.int64)
-    edges[:m] = seeded
-    _encode(edges, m, n, codes)
+    ``_halves``, until none is left or three rounds in a row stall.
+    Returns the edges."""
+    # ``codes`` holds the sorted codes of the edges placed so far, which are
+    # ``edges[:codes.size]``: each placement adds one edge and its code.
+    edges = np.empty((len(seeded) + stubs.size // 2, 2), dtype=np.int64)
+    edges[:len(seeded)] = seeded
+    codes = np.sort(seeded[:, 0] * n + seeded[:, 1])
     budget = 10 * max(1, stubs.size // 2)
     stalls = 0
     while stubs.size and stalls < 3:
         # Random rounds can keep pairing a vertex's stubs with each other.
         stubs = _halves(stubs, block) if stalls else _shuffle(stubs, block, rng)
         pending = stubs.size
-        m, u, v = _place(stubs, edges, codes, m, n)
+        codes, u, v = _place(stubs, edges, codes, n)
         if u.size and budget > 0:
-            m, u, v, budget = _swap_repair(u, v, edges, codes, m, n, block, rng, budget)
+            codes, u, v, budget = _swap_repair(u, v, edges, codes, n, block, rng, budget)
         stubs = np.concatenate((u, v))
         stalls = stalls + 1 if stubs.size == pending else 0
-    return edges[:m]
+    return edges[:codes.size]
 
 
-def _place(stubs, edges, codes, m, n):
+def _place(stubs, edges, codes, n):
     """Pair ``stubs`` by reshaping and place each pair that is no self-loop,
-    present edge or repeat; every block holds an even stub count, so no pair
-    straddles two blocks.  Returns the edge count and the other pairs as
-    ``(lo, hi)``."""
+    present edge (its code in ``codes``) or repeat; every block holds an even
+    stub count, so no pair straddles two blocks.  Returns the sorted codes of
+    all placed edges and the other pairs as ``(lo, hi)``."""
     pairs = stubs.reshape(-1, 2)
     code = np.sort(_codes(pairs[:, 0], pairs[:, 1], n))
     lo, hi = np.divmod(code, n)
     fresh = np.ones(code.size, dtype=bool)
     np.not_equal(code[1:], code[:-1], out=fresh[1:])
-    fresh &= (lo != hi) & ~_isin_sorted(code, codes[:m])
-    placed = int(np.count_nonzero(fresh))
+    fresh &= (lo != hi) & ~_isin_sorted(code, codes)
+    m, placed = codes.size, int(np.count_nonzero(fresh))
     edges[m:m + placed, 0], edges[m:m + placed, 1] = lo[fresh], hi[fresh]
-    codes[m:m + placed] = code[fresh]
-    codes[:m + placed].sort(kind="stable")  # merges two sorted runs
-    return m + placed, lo[~fresh], hi[~fresh]
+    codes = np.concatenate((codes, code[fresh]))
+    codes.sort(kind="stable")  # merges two sorted runs
+    return codes, lo[~fresh], hi[~fresh]
 
 
-def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
+def _swap_repair(u, v, edges, codes, n, block, rng, budget):
     """Place the stub pairs ``(u[i], v[i])`` by batched double-edge swaps.
 
     Each round every pair draws random oriented edges ``(x, y)`` present at
@@ -236,9 +229,10 @@ def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
     ``(u, x)`` and ``(v, y)``, or in its last round hop: rewire into
     ``(u, x)`` alone and stay as ``(y, v)``, passing a hub's stub on.  A
     round applies proposals that rewire each edge once and add distinct
-    edges.  Returns the edge count, the unplaced pairs and the budget left.
+    edges.  Returns the sorted codes of all edges, the unplaced pairs and
+    the budget left.
     """
-    present = codes[:m]  # a rewired edge's code stays in it until the end
+    present, m = codes, codes.size  # the start set: rewired edges' codes stay in it
     edge_block = block[edges[:m, 0]]
     by_block = np.argsort(edge_block, kind="stable")  # ties in slot order
     edge_block = edge_block[by_block]
@@ -282,8 +276,10 @@ def _swap_repair(u, v, edges, codes, m, n, block, rng, budget):
         u[r], v[r] = np.where(by_u, y[hop], u[r]), np.where(by_u, v[r], x[hop])
         tries *= 2
     if swapped.size:
-        _encode(edges, m, n, codes)
-    return m, u[~placed], v[~placed], budget
+        codes = edges[:m, 0] * n
+        codes += edges[:m, 1]
+        codes.sort()
+    return codes, u[~placed], v[~placed], budget
 
 
 def _check_sequence(degrees: np.ndarray):

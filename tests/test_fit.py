@@ -226,6 +226,18 @@ class TestAlphaFromMoment:
         got = alpha_from_moment(want, Moment.VAR_TO_MEAN, k_min, k_max)
         assert abs(got - alpha) <= 1e-3
 
+    @pytest.mark.parametrize("which", list(Moment))
+    def test_round_trip_on_the_narrowest_accurate_support(self, which):
+        # k_max / k_min = 1.05 is where the documented 1e-6 accuracy starts;
+        # narrower supports lose it as the predicted variance cancels.  Every
+        # alpha here lies right of the variance-to-mean peak near 7/6.
+        for k_min in (1.0, 100.0):
+            k_max = k_min * 1.05
+            for alpha in (1.3, 1.5, 2.0, 2.5, 3.0, 4.0, 5.5):
+                want = getattr(predict(PowerLawSpec(alpha, k_min, k_max)), FIELDS[which])
+                got = alpha_from_moment(want, which, k_min, k_max)
+                assert abs(got - alpha) <= 1e-6, (k_min, alpha, got)
+
     def test_limit_branch_plateau_inverts_to_its_middle(self):
         # every moment is strictly decreasing through alpha = 2, including
         # within SWITCH_EPS of it, so its value at 2 inverts to 2

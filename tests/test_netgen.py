@@ -1,5 +1,6 @@
 """Tests for degree-sequence realization under the three generator models."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -195,6 +196,23 @@ class TestGenerateContracts:
             seq = cli._target_sequence(PowerLawSpec(2, 1, 316), 10_000, seed)
             dropped += cli._realize(seq, seed, 316, Model.B)[1]
         assert dropped <= 200
+
+    def test_seed_to_graph_contract_is_pinned(self):
+        # The edges and drop counts that seeds give, hashed.  At these k_max
+        # model B drops stubs (74 at 316, 808 at 1000 over the five seeds),
+        # hops and stalls, so every pairing path is held.  A change that
+        # alters graphs on purpose restates the digest.
+        digest = hashlib.sha256()
+        for k_max in (10, 316, 1000):
+            for seed in range(5):
+                seq = cli._target_sequence(PowerLawSpec(2, 1, k_max), 10_000, seed)
+                for model in (Model.A, Model.B, Model.KALISKY):
+                    g, dropped = cli._realize(seq, seed, k_max, model)
+                    digest.update(g.edges.astype("<i8").tobytes())
+                    digest.update(dropped.to_bytes(8, "little"))
+        assert digest.hexdigest() == (
+            "45a077d3b588018ac6ab26ad33fa3571bd54f8056583bba7e6abab57f8845dea"
+        )
 
     def test_model_b_block_size_configurable(self):
         seq = powerlaw_sequence(2000, 20, sample_seed=7)
