@@ -155,7 +155,9 @@ def alpha_from_moment(
     On narrower supports the predicted variance cancels, so VARIANCE and
     VAR_TO_MEAN lose accuracy fast: round trips err by up to 1.3e-5 and
     2.4e-4 at k_max / k_min = 1.01, and by 0.11 and 0.29 at 1.001, where
-    MEAN still holds to 1.4e-8.
+    MEAN still holds to 1.4e-8.  There the predicted variance-to-mean ratio
+    is noisier than its range over the bracket, so VAR_TO_MEAN on [1, 1.001]
+    refuses the model's own prediction at alpha = 1.3 with OutOfRangeError.
 
     The moments decrease in alpha except for a shallow variance-to-mean
     maximum near alpha = 7/6; inversion solves on the decreasing branch to

@@ -4,7 +4,10 @@ All three generator families pair stubs with one array routine, inside
 blocks given by a block id per vertex; their blocks and first edges set the
 wiring style while keeping the degree sequence (almost) intact:
 
-* Model A   - one block; classic configuration-model pairing.
+* Model A   - one block: shuffled stubs are paired and conflicts repaired
+              by double-edge swaps.  This is not uniform sampling: on small
+              sequences it reaches every simple realization, but not with
+              equal frequency.
 * Model B   - small vertex blocks, all paired in the same rounds, which
               fragments the graph into many components.  A block is a run
               of at least 32 vertices of a random order, extended until,

@@ -133,48 +133,54 @@ def cdf(spec: PowerLawSpec, k):
     return float(values) if values.ndim == 0 else values
 
 
-def _assemble(c: float, mean: float, m2: float, branch: Branch) -> PredictionResult:
+def predict(spec: PowerLawSpec) -> PredictionResult:
+    """Mean degree, variance, variance-to-mean ratio and friends-of-friends mean.
+
+    The per-field relations are fixed: variance = max(0, <k^2> - <k>^2),
+    var_to_mean = variance / mean_k, and k_ff = mean_k + var_to_mean, so the
+    friendship-paradox identity holds exactly as computed.
+
+    An unbounded k_max requires alpha > 3; otherwise the mean or variance
+    diverges.  A point mass (k_min == k_max) gives the regular-graph limit
+    <k> = k_min with C NaN and branch DEGENERATE.  A field other than C that
+    is not a finite float raises ``DivergentError`` for every spec, a point
+    mass whose k_min**2 overflows (k_min above about 1.34e154) included.
+    """
+    if spec.is_infinite and spec.alpha <= 3.0:
+        raise DivergentError(
+            "mean or variance diverges for alpha <= 3 with unbounded k_max"
+        )
+    if spec.is_degenerate:  # span 0: both ratios E(t) / E(1 - alpha) are 1
+        c, branch, log_r1, log_r2 = math.nan, Branch.DEGENERATE, 0.0, 0.0
+    else:
+        c, span = normalization_constant(spec), spec.span
+        base = _log_e(1.0 - spec.alpha, span)
+        log_r1 = _log_e(2.0 - spec.alpha, span) - base
+        log_r2 = _log_e(3.0 - spec.alpha, span) - base
+        branch = Branch.GENERAL
+        if not spec.is_infinite and abs(spec.alpha - 2.0) <= SWITCH_EPS:
+            branch = Branch.LIMIT_ALPHA_2
+        elif not spec.is_infinite and abs(spec.alpha - 3.0) <= SWITCH_EPS:
+            branch = Branch.LIMIT_ALPHA_3
+    try:
+        mean = spec.k_min * math.exp(log_r1)
+        m2 = spec.k_min * (spec.k_min * math.exp(log_r2))
+    except OverflowError:  # a moment past the float range
+        mean = m2 = math.inf
     # Clamp guards the k_ff >= mean_k invariant against rounding when the
-    # support is nearly degenerate; mathematically m2 >= mean**2 always.  It
-    # also maps a point mass's inf - inf (k * k overflowed) to 0.
+    # support is nearly degenerate; mathematically m2 >= mean**2 always.
     variance = max(0.0, m2 - mean * mean)
     var_to_mean = variance / mean
-    k_ff = mean + var_to_mean
-    return PredictionResult(
+    result = PredictionResult(
         c=c,
         mean_k=mean,
         second_moment=m2,
         variance=variance,
         var_to_mean=var_to_mean,
-        k_ff=k_ff,
+        k_ff=mean + var_to_mean,
         branch=branch,
     )
-
-
-def predict(spec: PowerLawSpec) -> PredictionResult:
-    """Mean degree, variance, variance-to-mean ratio and friends-of-friends mean.
-
-    The per-field relations are fixed: variance = <k^2> - <k>^2,
-    var_to_mean = variance / mean_k, and k_ff = mean_k + var_to_mean, so the
-    friendship-paradox identity holds exactly as computed.
-
-    An unbounded k_max requires alpha > 3; otherwise the mean or variance
-    diverges.  A point-mass spec (k_min == k_max) returns the regular-graph
-    limit with branch DEGENERATE.
-    """
-    if spec.is_degenerate:
-        k = spec.k_min
-        return _assemble(math.nan, k, k * k, Branch.DEGENERATE)
-    if spec.is_infinite and spec.alpha <= 3.0:
-        raise DivergentError(
-            "mean or variance diverges for alpha <= 3 with unbounded k_max"
-        )
-    try:
-        result = _assemble(normalization_constant(spec), *_moments(spec))
-        finite = all(map(math.isfinite, astuple(result)[:-1]))  # all but branch
-    except OverflowError:  # a moment overflowed
-        finite = False
-    if not finite:
+    if not all(map(math.isfinite, astuple(result)[1:-1])):  # all but c, branch
         raise DivergentError(
             f"moments not finite in floating point for alpha={spec.alpha}, "
             f"k_min={spec.k_min}, k_max={spec.k_max}"
@@ -200,19 +206,6 @@ def _log_e_slope(t: float, span: float) -> float:
     if x > 0.0:
         return span * (1.0 / x - math.exp(-x) / -math.expm1(-x))
     return span * (1.0 / x - 1.0 / math.expm1(x))
-
-
-def _moments(spec: PowerLawSpec):
-    """(mean, second moment, branch) of a spec with a non-degenerate support."""
-    span = spec.span
-    base = _log_e(1.0 - spec.alpha, span)
-    mean = spec.k_min * math.exp(_log_e(2.0 - spec.alpha, span) - base)
-    m2 = spec.k_min * (spec.k_min * math.exp(_log_e(3.0 - spec.alpha, span) - base))
-    if not spec.is_infinite and abs(spec.alpha - 2.0) <= SWITCH_EPS:
-        return mean, m2, Branch.LIMIT_ALPHA_2
-    if not spec.is_infinite and abs(spec.alpha - 3.0) <= SWITCH_EPS:
-        return mean, m2, Branch.LIMIT_ALPHA_3
-    return mean, m2, Branch.GENERAL
 
 
 def sample_continuous(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:

@@ -86,12 +86,22 @@ class TestPredictCommand:
         assert code == 2
         assert "diverge" in err
 
-    @pytest.mark.parametrize("alpha, k_max", [("1.2", "1e200"), ("1.01", "1e200")])
-    def test_float_overflow_is_a_domain_error(self, capsys, alpha, k_max):
-        code, out, err = run(capsys, "predict", "--alpha", alpha, "--kmax", k_max)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--alpha", "1.2", "--kmax", "1e200"),
+            ("predict", "--alpha", "1.01", "--kmax", "1e200"),
+            # a point mass whose k_min**2 overflows, alone and as a sweep cell
+            ("predict", "--alpha", "2.5", "--kmin", "1e200", "--kmax", "1e200"),
+            ("sweep", "--alphas", "2", "--kmaxs", "1e200", "--kmin", "1e200"),
+        ],
+        ids=["1.2-1e200", "1.01-1e200", "point-mass-1e200", "sweep-point-mass-1e200"],
+    )
+    def test_float_overflow_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: moments not finite") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

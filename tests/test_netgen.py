@@ -1,6 +1,7 @@
 """Tests for degree-sequence realization under the three generator models."""
 
 import hashlib
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -213,6 +214,27 @@ class TestGenerateContracts:
         assert digest.hexdigest() == (
             "45a077d3b588018ac6ab26ad33fa3571bd54f8056583bba7e6abab57f8845dea"
         )
+
+    def test_model_a_reaches_every_realization_but_not_uniformly(self):
+        # Exact oracle: the simple graphs with degrees 3,3,2,2,1,1 among the
+        # 2^15 edge subsets of K6.  Model A pairs shuffled stubs and repairs
+        # conflicts by double-edge swaps, which reaches all of them but not
+        # with equal frequency.  The chi-square bound is the 0.999 quantile
+        # on 16 degrees of freedom.
+        seq = [3, 3, 2, 2, 1, 1]
+        pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        subsets = np.arange(2**15)[:, None] >> np.arange(15) & 1
+        incidence = (np.array(pairs)[:, :, None] == np.arange(6)).sum(axis=1)
+        realizations = set(np.flatnonzero((subsets @ incidence == seq).all(1)).tolist())
+        assert len(realizations) == 17
+        counts = Counter()
+        for seed in range(2000):
+            g = generate(seq, Model.A, seed)
+            assert g.degrees().tolist() == seq  # no stub dropped
+            counts[sum(1 << pairs.index(e) for e in map(tuple, g.edges.tolist()))] += 1
+        assert set(counts) == realizations  # every one reached, none outside
+        expected = 2000 / 17
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) > 39.25
 
     def test_model_b_block_size_configurable(self):
         seq = powerlaw_sequence(2000, 20, sample_seed=7)
