@@ -103,7 +103,7 @@ def _target_sequence(spec: PowerLawSpec, n: int, seed: int) -> np.ndarray:
 def _realize(seq, seed: int, k_max: float, model: Model):
     """The graph of (seed, k_max, model) on ``seq`` and its dropped stubs."""
     g = netgen.generate(seq, model, _sub_seed(seed, k_max, _MODEL_TAGS[model]))
-    return g, int(seq.sum()) - 2 * len(g.edges)
+    return g, int(seq.sum()) - g.adjacency.nnz
 
 
 def _parse_values(text: str, name: str) -> list[float]:
@@ -335,7 +335,7 @@ def _cmd_analyze(args) -> int:
     comps = metrics.components(g)
     payload = {
         "n": g.n,
-        "edges": len(g.edges),
+        "edges": g.adjacency.nnz // 2,
         "stats": {k: v for k, v in asdict(stats).items() if k != "n"},
         "components": {"count": len(comps), "sizes": comps},
         "global_efficiency": metrics.global_efficiency(g),

@@ -25,7 +25,7 @@ hop), and the pair takes the stub it displaced, passing a hub's stub on.
 Stubs still unplaced when pairing stalls are dropped and reported, never
 turned into loops or multi-edges.  Sorts whose tie order can reach a graph are
 stable, so a seed gives the same graph on every CPU.  Realizations and files
-read are ``Graph``s.
+read are ``Graph``s, which keep only the CSR adjacency, one byte per entry.
 """
 
 from __future__ import annotations
@@ -65,21 +65,16 @@ _MAX_N = 10**7
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices ``0 .. n-1``.
+    """Simple undirected graph on vertices ``0 .. n-1``, kept as its symmetric
+    ``scipy.sparse.csr_matrix`` ``adjacency`` alone (``bool`` unit entries; row
+    ``v`` lists the neighbours of ``v`` in ascending order).  ``edges`` and
+    ``labels`` are derived from it on first use and kept."""
 
-    Both fields read one sorted array built by ``from_edges``, the codes
-    ``row * n + column`` of both directions of every edge.  ``adjacency`` is
-    the symmetric ``scipy.sparse.csr_matrix`` of those entries (unit
-    weights, sorted column indices): row ``v`` lists the neighbours of ``v``
-    in ascending order.  ``edges`` is a read-only ``(m, 2)`` int64 array of
-    the upper entries ``(u, v)``, ``u < v``, in that order, so it is a
-    canonical representation and file output is bit-exact.  ``labels`` is
-    found on first use and kept: a graph is labelled once.
-    """
-
-    n: int
-    edges: np.ndarray
     adjacency: csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -102,9 +97,8 @@ class Graph:
             raise _EdgeError(f"vertex id out of range: ({u}, {v})", i)
         if n > _MAX_N:
             raise ValueError(f"{n} vertices exceed the limit of {_MAX_N}")
-        # Both directions of every edge as codes row * n + column, sorted: the
-        # CSR entries row by row, in which a repeated edge is two equal
-        # neighbours and the upper ones (row < column) are the edges.
+        # Both directions of every edge as codes row * n + column, sorted: the CSR
+        # entries row by row, in which a repeated edge is two equal neighbours.
         both = np.concatenate((lo * n + hi, hi * n + lo))
         both.sort()
         if (both[1:] == both[:-1]).any():
@@ -112,12 +106,18 @@ class Graph:
             repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
             i = int(repeat.argmax())  # the first edge that repeats an earlier one
             raise _EdgeError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", i)
-        column = both % n
-        canon = np.column_stack(np.divmod(both[both < column * (n + 1)], n))
-        canon.flags.writeable = False
         indptr = np.searchsorted(both, np.arange(n + 1) * n)
-        adjacency = csr_matrix((np.ones(both.size), column, indptr), shape=(n, n))
-        return Graph(n=n, edges=canon, adjacency=adjacency)
+        return Graph(csr_matrix((np.ones(both.size, bool), both % n, indptr), shape=(n, n)))
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """Read-only ``(m, 2)`` int64 array of the upper entries ``(u, v)``,
+        ``u < v``, in row order: canonical, so file output is bit-exact."""
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        upper = rows < self.adjacency.indices
+        edges = np.column_stack((rows[upper], self.adjacency.indices[upper]))
+        edges.flags.writeable = False
+        return edges
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.adjacency.indptr).astype(np.int64)

@@ -238,6 +238,17 @@ class TestAlphaFromMoment:
                 got = alpha_from_moment(want, which, k_min, k_max)
                 assert abs(got - alpha) <= 1e-6, (k_min, alpha, got)
 
+    @pytest.mark.xfail(
+        raises=OutOfRangeError,
+        strict=True,
+        reason="the cancelling variance on [1, 1.001] makes the predicted "
+        "ratio noisier than its range over the bracket; ROADMAP item 11",
+    )
+    def test_variance_to_mean_round_trip_on_a_thousandth_wide_support(self):
+        want = predict(PowerLawSpec(1.3, 1.0, 1.001)).var_to_mean
+        got = alpha_from_moment(want, Moment.VAR_TO_MEAN, 1.0, 1.001)
+        assert abs(got - 1.3) <= 1e-6
+
     def test_limit_branch_plateau_inverts_to_its_middle(self):
         # every moment is strictly decreasing through alpha = 2, including
         # within SWITCH_EPS of it, so its value at 2 inverts to 2

@@ -74,7 +74,12 @@ def multi_component_graphs(draw, max_block=12):
 def test_edges_are_canonical_and_strictly_sorted(case):
     n, canon, edges = case
     g = Graph.from_edges(n, edges)
+    # The CSR matrix is all a graph keeps until edges or labels are read.
+    assert set(vars(g)) == {"adjacency"}
     assert g.n == n
+    a = g.adjacency
+    assert a.indptr.nbytes + a.indices.nbytes + a.data.nbytes == 4 * (n + 1) + 5 * a.nnz
+    assert g.edges is g.edges
     assert g.edges.dtype == np.int64 and g.edges.shape == (len(canon), 2)
     assert not g.edges.flags.writeable
     assert [tuple(e) for e in g.edges.tolist()] == canon
@@ -89,8 +94,9 @@ def test_adjacency_is_symmetric_sorted_and_loop_free(case):
     n, canon, edges = case
     a = Graph.from_edges(n, edges).adjacency
     assert a.shape == (n, n)
-    # Betweenness counts shortest paths with the unit weights.
-    assert a.data.dtype == np.float64 and (a.data == 1.0).all()
+    # One byte per unit entry; betweenness's products with float blocks
+    # upcast it, and every other reader uses only the index arrays.
+    assert a.data.dtype == bool and a.data.all()
     assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
     assert a.has_sorted_indices
     assert (a != a.T).nnz == 0
