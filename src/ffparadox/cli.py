@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep``      - CSV grid of predictions over alpha and k_max values.
 * ``experiment`` - CSV of simulated-vs-predicted variance-to-mean ratios for
                    networks generated under models A, B and KALISKY.
-* ``generate``   - write one realized network as an edge-list file.
+* ``generate``   - write one realized network as an edge list, file or stdout.
 * ``analyze``    - full metrics bundle for an external edge-list file, as JSON.
 
 Exit codes: 0 success, 1 usage error, 2 domain error.  All randomness comes
@@ -321,8 +321,9 @@ def _cmd_generate(args) -> int:
     model = Model(args.model)
     seq = _target_sequence(spec, args.n, args.seed)
     g, dropped = _realize(seq, args.seed, spec.k_max, model)
-    _emit(netgen.format_edge_list(g), args.out)
-    sys.stderr.write(f"{len(g.edges)} edges on {g.n} vertices ({dropped} stubs dropped)\n")
+    netgen.write_edge_list(g, args.out or sys.stdout)
+    edges = g.adjacency.nnz // 2
+    sys.stderr.write(f"{edges} edges on {g.n} vertices ({dropped} stubs dropped)\n")
     return 0
 
 

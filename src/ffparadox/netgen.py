@@ -30,6 +30,7 @@ read are ``Graph``s, which keep only the CSR adjacency, one byte per entry.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 from dataclasses import dataclass
@@ -400,18 +401,20 @@ def drop_report(g: Graph, seq) -> DropReport:
     return DropReport(per_vertex=tuple(diff.tolist()), total=int(diff.sum()))
 
 
-def format_edge_list(g: Graph) -> str:
-    """The edge-list text of ``g``: one ``u v`` line per edge, 0-based ids,
-    u < v, sorted; bit-exact."""
-    # One %-format over the flat id list, several times faster than
-    # formatting edge by edge.
-    return ("%d %d\n" * len(g.edges)) % tuple(g.edges.ravel().tolist())
+# Edges per write: a slice's ids and text stay near 1.6 MB at any graph size,
+# and on a 2-vCPU Xeon larger slices wrote 2.3 million edges no faster.
+_WRITE_SLICE = 2**14
 
 
-def write_edge_list(g: Graph, path):
-    """Write ``format_edge_list(g)`` to ``path``."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(g))
+def write_edge_list(g: Graph, out):
+    """Write ``g`` to ``out``, a path or an open text stream, in slices of
+    ``_WRITE_SLICE`` edges: a ``u v`` line per edge, u < v, sorted; bit-exact."""
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", encoding="ascii")) as fh:
+        for start in range(0, len(g.edges), _WRITE_SLICE):
+            part = g.edges[start:start + _WRITE_SLICE]
+            # one %-format per slice: several times faster than edge by edge
+            fh.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
 def read_edge_list(path) -> Graph:
@@ -428,16 +431,12 @@ def read_edge_list(path) -> Graph:
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    edges = None
     if text.strip():  # loadtxt warns on empty input
         try:
             edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if edges is not None and edges.shape[1] == 2:
-        try:
-            return Graph.from_edges(int(edges.max()) + 1, edges)
-        except _EdgeError:
+            if edges.shape[1] == 2:
+                return Graph.from_edges(int(edges.max()) + 1, edges)
+        except ValueError:  # a decline, or an _EdgeError
             pass  # parsed again below, line by line, to name the line
     pairs = []
     linenos = []

@@ -218,6 +218,20 @@ class TestAlphaFromMoment:
     def test_variance_to_mean_peak_matches_high_precision(self, k_min, k_max, want, tol):
         assert abs(fit._peak_alpha(Moment.VAR_TO_MEAN, k_min, k_max) - want) <= tol
 
+    # Same 60-digit mpmath maximizers, at relative widths 1e-5 and 1e-6.
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="the ratio's slope cancels in float64 at these widths and the peak "
+        "falls back to ALPHA_LO; ROADMAP item 11",
+    )
+    @pytest.mark.parametrize("k_min, k_max, want", [
+        (1.0, 1.0 + 1e-5, 1.1666666666666372),
+        (100.0, 100.0001, 1.1666666666666663),
+    ])
+    def test_variance_to_mean_peak_on_the_narrowest_supports(self, k_min, k_max, want):
+        assert abs(fit._peak_alpha(Moment.VAR_TO_MEAN, k_min, k_max) - want) <= 1e-6
+
     @pytest.mark.parametrize("k_min, k_max, alpha", [
         (50.0, 51.0, 1.1675), (100.0, 101.0, 1.2),
     ])

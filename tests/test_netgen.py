@@ -1,11 +1,18 @@
 """Tests for degree-sequence realization under the three generator models."""
 
 import hashlib
+import io
+import itertools
+import os
+import tempfile
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffparadox import cli, metrics, netgen
 from ffparadox.errors import ImpossibleSequenceError
@@ -305,6 +312,43 @@ class TestEdgeListIO:
         path = tmp_path / "tri.txt"
         write_edge_list(g, path)
         assert path.read_text() == "0 1\n0 2\n1 2\n"
+
+    @settings(deadline=None)
+    @given(st.sets(st.sampled_from(list(itertools.combinations(range(8), 2))), max_size=20))
+    def test_slices_join_into_the_per_edge_text(self, edges):
+        # 3-edge slices: empty, exact multiples and remainders all occur
+        g = Graph.from_edges(8, sorted(edges))
+        want = "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
+        text = io.StringIO()
+        with mock.patch.object(netgen, "_WRITE_SLICE", 3), tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            write_edge_list(g, path)
+            write_edge_list(g, text)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("ascii")
+        assert text.getvalue() == want
+
+    def test_writing_holds_one_slice_at_a_time(self):
+        # A ring with chords, 2 x 10^5 edges: formatted whole, its ids and
+        # text peak near 20 MB.
+        n = 100_000
+        v = np.arange(n)
+        g = Graph.from_edges(n, np.concatenate(
+            [np.column_stack((v, (v + step) % n)) for step in (1, 2)]
+        ))
+        assert len(g.edges) == 2 * n  # derived before tracing
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            write_edge_list(g, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_duplicate_edge_reports_line(self, tmp_path):
         path = tmp_path / "dup.txt"
