@@ -9,15 +9,20 @@ Subcommands:
 * ``generate``   - write one realized network as an edge list, file or stdout.
 * ``analyze``    - full metrics bundle for an external edge-list file, as JSON.
 
-Exit codes: 0 success, 1 usage error, 2 domain error.  All randomness comes
-from explicit seed flags; identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage error, 2 domain error.  A reader that closes
+stdout early (``| head``) counts as success: the rest of the output is
+dropped and the exit code is 0.  All randomness comes from explicit seed
+flags; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -26,7 +31,7 @@ import numpy as np
 from . import fit, metrics, netgen, powerlaw
 from .errors import AllIsolatedError, DomainError
 from .netgen import Model
-from .powerlaw import Branch, PowerLawSpec
+from .powerlaw import PowerLawSpec
 
 DEFAULT_KMAX_GRID = "10,32,100,316,1000"
 DEFAULT_SEEDS = "0,1,2,3,4"
@@ -46,17 +51,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    k_min: float
-    k_max: float
-    mean_k: float
-    k_ff: float
-    var_to_mean: float
-    branch: Branch
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -128,12 +122,6 @@ def _parse_values(text: str, name: str) -> list[float]:
         ) from None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return value.value if isinstance(value, (Branch, Model)) else str(value)
-
-
 def _jsonable(value):
     if isinstance(value, float):
         if math.isnan(value):
@@ -145,25 +133,24 @@ def _jsonable(value):
 
 def _csv(header, rows) -> str:
     """A header line, then one line per row, a mapping over the header's
-    column names; a column a row has no key for prints empty."""
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(row.get(name)) for name in header) for row in rows]
-    return "\n".join(lines) + "\n"
+    column names; a column a row has no key for, or holds None in, prints
+    empty, and keys outside the header are left out."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, header, restval="", extrasaction="ignore",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
 
 
-def run_sweep(alphas, kmaxs, k_min: float) -> list[SweepRow]:
-    rows = []
-    for alpha in alphas:
-        for k_max in kmaxs:
-            r = powerlaw.predict(PowerLawSpec(alpha, k_min, k_max))
-            rows.append(SweepRow(
-                alpha, k_min, k_max, r.mean_k, r.k_ff, r.var_to_mean, r.branch
-            ))
-    return rows
+def run_sweep(alphas, kmaxs, k_min: float) -> list[powerlaw.PredictionResult]:
+    return [powerlaw.predict(PowerLawSpec(alpha, k_min, k_max))
+            for alpha in alphas for k_max in kmaxs]
 
 
 def sweep_csv(rows) -> str:
-    return _csv([f.name for f in fields(SweepRow)], map(vars, rows))
+    columns = ("alpha", "k_min", "k_max", "mean_k", "k_ff", "var_to_mean", "branch")
+    return _csv(columns, map(vars, rows))
 
 
 def run_experiment(
@@ -279,7 +266,7 @@ def _emit(text: str, out_path):
 def _cmd_predict(args) -> int:
     spec = PowerLawSpec(args.alpha, args.kmin, args.kmax)
     # Branch is a str enum, so json writes it as its value.
-    payload = {**asdict(spec), **asdict(powerlaw.predict(spec))}
+    payload = asdict(powerlaw.predict(spec))
     payload = {key: _jsonable(value) for key, value in payload.items()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -404,10 +391,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return code
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
+    except BrokenPipeError:
+        # The reader closed early: that is success.  Point stdout at devnull
+        # so the interpreter's final flush does not fail on the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,7 +14,7 @@ k_min**2 * E(3 - alpha) / E(1 - alpha), both taken through ln E(t).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -76,8 +76,12 @@ class PowerLawSpec:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Analytical bundle for one spec: C, <k>, <k^2>, sigma^2, sigma^2/<k>, <k_FF>."""
+    """Analytical bundle for one spec: the spec's (alpha, k_min, k_max), then C,
+    <k>, <k^2>, sigma^2, sigma^2/<k>, <k_FF> and the branch."""
 
+    alpha: float
+    k_min: float
+    k_max: float
     c: float
     mean_k: float
     second_moment: float
@@ -171,21 +175,16 @@ def predict(spec: PowerLawSpec) -> PredictionResult:
     # support is nearly degenerate; mathematically m2 >= mean**2 always.
     variance = max(0.0, m2 - mean * mean)
     var_to_mean = variance / mean
-    result = PredictionResult(
-        c=c,
-        mean_k=mean,
-        second_moment=m2,
-        variance=variance,
-        var_to_mean=var_to_mean,
-        k_ff=mean + var_to_mean,
-        branch=branch,
-    )
-    if not all(map(math.isfinite, astuple(result)[1:-1])):  # all but c, branch
+    k_ff = mean + var_to_mean
+    if not all(map(math.isfinite, (mean, m2, variance, var_to_mean, k_ff))):
         raise DivergentError(
             f"moments not finite in floating point for alpha={spec.alpha}, "
             f"k_min={spec.k_min}, k_max={spec.k_max}"
         )
-    return result
+    return PredictionResult(
+        spec.alpha, spec.k_min, spec.k_max, c=c, mean_k=mean, second_moment=m2,
+        variance=variance, var_to_mean=var_to_mean, k_ff=k_ff, branch=branch,
+    )
 
 
 def _log_e(t: float, span: float) -> float:

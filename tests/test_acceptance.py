@@ -5,6 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS lines.  Criteria with runtime budgets time their computational core.
 """
 
+import hashlib
 import math
 import time
 from collections import defaultdict
@@ -14,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from ffparadox import fit, metrics, netgen, powerlaw
-from ffparadox.cli import run_experiment, run_sweep
+from ffparadox.cli import experiment_csv, run_experiment, run_sweep
 from ffparadox.netgen import Graph, Model
 from ffparadox.powerlaw import Branch, PowerLawSpec
 from paper_forms import moments_at_alpha2, moments_at_alpha3, moments_general
@@ -44,6 +45,15 @@ def experiment():
     elapsed = time.perf_counter() - start
     assert all(r.error is None for r in rows)
     return rows, elapsed
+
+
+def test_default_experiment_csv_bytes(experiment):
+    # The fixture is the CLI's default grid, so this pins the bytes of a bare
+    # ``ffparadox experiment``.  A change that alters that output on purpose
+    # (new columns, say) restates the digest in the same change.
+    rows, _ = experiment
+    digest = hashlib.sha256(experiment_csv(rows).encode("ascii")).hexdigest()
+    assert digest == "883dc51e033f2e4540ddeea3b59f8ad46f7145f589db4647233c97aa4fa27fe1"
 
 
 @pytest.fixture(scope="module")

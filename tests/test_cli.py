@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -191,6 +192,21 @@ class TestSweepCommand:
     def test_range_of_a_million_values_is_accepted(self):
         values = _parse_values("0:999999:1", "--alphas")
         assert len(values) == 10**6 and values[-1] == 999999.0
+
+    # Pinned output bytes.  A change that alters the sweep's output on purpose
+    # (new columns, say) restates these digests in the same change.
+    @pytest.mark.parametrize("argv, digest", [
+        # 630 rows: 90 DEGENERATE (k_max 1), and LIMIT_ALPHA_2 and _3 rows
+        (["--alphas", "1.05:5.5:0.05", "--kmaxs", "1,2,10,31.6,100,1000,1e6"],
+         "858c000e42f36f36371627ff70b708a1b70f99e44cbb9dfbb8e3a00af4ec33d1"),
+        # how an unbounded k_max is written
+        (["--alphas", "3.5:6:0.5", "--kmaxs", "inf", "--kmin", "2"],
+         "45cc7bd0cacee86ebbe557ef308cddababda694a7811116d70b8d0feae9f871c"),
+    ])
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "sweep", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 @settings(deadline=None, max_examples=100)
@@ -481,6 +497,31 @@ class TestGenerateCommand:
         assert code == 0
         assert len(out.splitlines()) == 945
         assert err == "945 edges on 1000 vertices (0 stubs dropped)\n"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["generate", "--kmax", "100", "--n", "200000", "--seed", "1"], 1),
+    (["sweep", "--alphas", "1.5:4:0.0005", "--kmaxs", "10,100,1000"], 1),
+    # closed before anything is read: the write fails at the last flush
+    (["predict", "--alpha", "2", "--kmax", "100"], 0),
+])
+def test_a_reader_that_closes_early_is_success(argv, lines_read):
+    # A fresh interpreter on a real pipe, since the rule rewires fd 1; stdout
+    # is block-buffered, as it is for a console script in a shell pipeline.
+    src = os.path.dirname(os.path.dirname(ffparadox.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ffparadox.cli", *argv],
+        env={**env, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # Draws of 2**63 or more are refused before rounding, with no numpy warning.
