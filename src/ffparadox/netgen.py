@@ -11,8 +11,9 @@ wiring style while keeping the degree sequence (almost) intact:
 * Model B   - small vertex blocks, all paired in the same rounds, which
               fragments the graph into many components.  A block is a run
               of at least 32 vertices of a random order, extended until,
-              with d its largest degree, it has more than 2.5 d vertices,
-              at least 2.5 d stubs besides d's and an even stub count; the
+              with d1 >= d2 its two largest degrees and s = 2.5 (d1 + d2),
+              d2 counted only from 32 up, it has more than s vertices, at
+              least s stubs besides d1's and an even stub count; the
               infeasible tail joins the largest block.
 * Kalisky   - vertices are placed hubs-first, each attaching to an open stub
               of the placed ones; leftovers are paired in one block.
@@ -311,8 +312,10 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
     ``_BLOCK_SIZE`` vertices, extended until every member's degree is
     realizable inside the block with slack (enough distinct partners and
     partner stubs; otherwise hubs would be clipped) and the stub count is
-    even, so that every stub has a partner in its block.  With an even
-    degree sum the folded tail, and so every block, is even too."""
+    even, so that every stub has a partner in its block.  The slack covers
+    the largest degree and, when it is at least ``_BLOCK_SIZE``, the second
+    largest: two hubs in one block compete for the same partners.  With an
+    even degree sum the folded tail, and so every block, is even too."""
     margin = 2.5  # partner slack per hub; tight blocks defeat edge-swap repair
     n = degrees.size
     order = rng.permutation(n)
@@ -320,15 +323,16 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
     # block that keeps extending until its degree is realizable inside it.
     order = np.roll(order, -int(np.argmax(degrees[order])))
     sizes = []
-    size = total = peak = slack = 0
+    size = total = d1 = d2 = slack = 0
     for d in degrees[order].tolist():
         size += 1
         total += d
-        if d > peak:
-            peak, slack = d, margin * d
-        if size >= _BLOCK_SIZE and size > slack and total - peak >= slack and not total % 2:
+        if d > d2:  # d1 >= d2 are the two largest degrees; a tie counts twice
+            d1, d2 = max(d1, d), min(d1, d)
+            slack = margin * (d1 + (d2 if d2 >= _BLOCK_SIZE else 0))
+        if size >= _BLOCK_SIZE and size > slack and total - d1 >= slack and not total % 2:
             sizes.append(size)
-            size = total = peak = slack = 0
+            size = total = d1 = d2 = slack = 0
     # Infeasible tail: fold it into the largest closed block, which has the
     # best chance of absorbing any remaining high-degree vertex.  Small ids
     # keep stable sorts by block id radix sorts.

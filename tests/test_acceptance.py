@@ -53,7 +53,7 @@ def test_default_experiment_csv_bytes(experiment):
     # (new columns, say) restates the digest in the same change.
     rows, _ = experiment
     digest = hashlib.sha256(experiment_csv(rows).encode("ascii")).hexdigest()
-    assert digest == "883dc51e033f2e4540ddeea3b59f8ad46f7145f589db4647233c97aa4fa27fe1"
+    assert digest == "2c9f6e0e5b851df1cc63efd2251983d098f12f3ae1a0f830d7ff70fec6f49153"
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +268,7 @@ def inner_path_vertices(g):
 
 
 @pytest.mark.parametrize("model, want", [(Model.KALISKY, 177_743_543),
-                                         (Model.B, 1_483_466)])
+                                         (Model.B, 3_681_609)])
 def test_criterion_9_betweenness_sums_inner_path_vertices(structure_graphs,
                                                           model, want):
     g = structure_graphs[1][model]

@@ -432,15 +432,15 @@ class TestGenerateCommand:
         assert all(len(line.split()) == 2 for line in out.strip().split("\n"))
 
     def test_dropped_stubs_reported_in_both_output_modes(self, capsys, tmp_path):
-        args = ["generate", "--kmax", "316", "--n", "2000", "--model", "B",
-                "--seed", "4"]
+        args = ["generate", "--kmax", "1000", "--n", "2000", "--model", "B",
+                "--seed", "11"]
         path = tmp_path / "g.txt"
         _, to_stdout, stdout_err = run(capsys, *args)
         _, to_file, file_err = run(capsys, *args, "--out", str(path))
         assert to_file == "" and path.read_text() == to_stdout
         edges = to_stdout.count("\n")
         assert stdout_err == file_err == (
-            f"{edges} edges on 2000 vertices (322 stubs dropped)\n"
+            f"{edges} edges on 2000 vertices (326 stubs dropped)\n"
         )
 
     @pytest.mark.parametrize("block_size", ["0", "8"])

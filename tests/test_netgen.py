@@ -195,31 +195,53 @@ class TestGenerateContracts:
         seq = cli._target_sequence(PowerLawSpec(2, 1, 10), 10_000, seed)
         assert cli._realize(seq, seed, 10, Model.B)[1] == 0
 
-    def test_model_b_last_round_hop_keeps_drops_few_at_kmax_316(self):
+    def test_model_b_places_every_stub_of_the_ci_sequence(self):
+        # Each block is sized for its two largest hubs, so hubs that share a
+        # block find partners there.  Sized for its largest hub alone, the
+        # blocks of this sequence dropped 684 stubs, 310 of them at five hubs
+        # that shared one block.
+        seq = cli._target_sequence(PowerLawSpec(2, 1, 1000), 10_000, 0)
+        assert cli._realize(seq, 0, 1000, Model.B)[1] == 0
+
+    def test_model_b_last_round_hop_keeps_drops_few_at_kmax_1000(self):
         # A hub's stub that no double swap can place is passed on by the
-        # last repair round's hop; without it these ten graphs drop several
-        # hundred stubs.
+        # last repair round's hop; without it these ten graphs drop 86
+        # stubs, 84 of them at seed 8.
         dropped = 0
         for seed in range(10):
-            seq = cli._target_sequence(PowerLawSpec(2, 1, 316), 10_000, seed)
-            dropped += cli._realize(seq, seed, 316, Model.B)[1]
-        assert dropped <= 200
+            seq = cli._target_sequence(PowerLawSpec(2, 1, 1000), 2000, seed)
+            dropped += cli._realize(seq, seed, 1000, Model.B)[1]
+        assert dropped <= 20
 
     def test_seed_to_graph_contract_is_pinned(self):
-        # The edges and drop counts that seeds give, hashed.  At these k_max
-        # model B drops stubs (74 at 316, 808 at 1000 over the five seeds),
-        # hops and stalls, so every pairing path is held.  A change that
-        # alters graphs on purpose restates the digest.
-        digest = hashlib.sha256()
-        for k_max in (10, 316, 1000):
-            for seed in range(5):
-                seq = cli._target_sequence(PowerLawSpec(2, 1, k_max), 10_000, seed)
-                for model in (Model.A, Model.B, Model.KALISKY):
-                    g, dropped = cli._realize(seq, seed, k_max, model)
-                    digest.update(g.edges.astype("<i8").tobytes())
-                    digest.update(dropped.to_bytes(8, "little"))
+        # The edges and drop counts that seeds give, hashed.  At k_max 32,
+        # seed 2, model B stalls twice (``_halves`` orders the leftovers) and
+        # drops 2 stubs; at 32 and 1000 B hops, so every pairing path is
+        # held, and the counters check that it still is.  A hop rewrites its
+        # pair's ends in place, so the ends that change count the hops.  A
+        # change that alters graphs on purpose restates the digest and counts.
+        swap_repair, hops = netgen._swap_repair, []
+
+        def counted(u, v, *args):
+            ends = np.stack((u, v))
+            out = swap_repair(u, v, *args)
+            hops.append(int(np.count_nonzero((np.stack((u, v)) != ends).any(axis=0))))
+            return out
+
+        digest, dropped = hashlib.sha256(), 0
+        with mock.patch.object(netgen, "_swap_repair", counted), \
+                mock.patch.object(netgen, "_halves", wraps=netgen._halves) as halves:
+            for k_max in (10, 32, 1000):
+                for seed in range(5):
+                    seq = cli._target_sequence(PowerLawSpec(2, 1, k_max), 10_000, seed)
+                    for model in (Model.A, Model.B, Model.KALISKY):
+                        g, d = cli._realize(seq, seed, k_max, model)
+                        digest.update(g.edges.astype("<i8").tobytes())
+                        digest.update(d.to_bytes(8, "little"))
+                        dropped += d
+        assert (dropped, halves.call_count, sum(hops)) == (2, 2, 149)
         assert digest.hexdigest() == (
-            "45a077d3b588018ac6ab26ad33fa3571bd54f8056583bba7e6abab57f8845dea"
+            "02323a0ce8fdab391260901a664f93bfebb32a7c97f300a55f680fe68aa5cc39"
         )
 
     def test_model_a_reaches_every_realization_but_not_uniformly(self):
