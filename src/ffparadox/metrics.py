@@ -37,8 +37,8 @@ So one ``analyze`` runs the engine twice, over different windows:
 betweenness over the 2-core, since shortest paths between core vertices
 never enter a pendant tree, and efficiency over every component of two or
 more vertices, since it also counts every pair that has a tree vertex.
-Efficiency's time grows with levels x window: a 3000-vertex path takes about
-2.5 s.
+Efficiency's time grows with levels x window: a 3000-vertex path took
+4.0-4.5 s on a 2-CPU Xeon host.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ wiring style while keeping the degree sequence (almost) intact:
               fragments the graph into many components.  A block is a run
               of at least 32 vertices of a random order, extended until,
               with d1 >= d2 its two largest degrees and s = 2.5 (d1 + d2),
-              d2 counted only from 32 up, it has more than s vertices, at
+              d2 counted only from 16 up, it has more than s vertices, at
               least s stubs besides d1's and an even stub count; the
               infeasible tail joins the largest block.
 * Kalisky   - vertices are placed hubs-first, each attaching to an open stub
@@ -23,10 +23,12 @@ self-loops and repeats from sorted edge codes ``lo * n + hi``; conflicts are
 placed by batched double-edge swaps inside their block.  In a conflict's last
 repair round a swap that can add only one of its two edges makes that one (a
 hop), and the pair takes the stub it displaced, passing a hub's stub on.
-Stubs still unplaced when pairing stalls are dropped and reported, never
-turned into loops or multi-edges.  Sorts whose tie order can reach a graph are
-stable, so a seed gives the same graph on every CPU.  Realizations and files
-read are ``Graph``s, which keep only the CSR adjacency, one byte per entry.
+After a stall (a round that places nothing) conflicts' lower ends pair with
+each other, and upper ends too.  Stubs unplaced after three stalls in a row
+are dropped and reported, never turned into loops or multi-edges.  Sorts
+whose tie order can reach a graph are stable, so a seed gives the same graph
+on every CPU.  Realizations and files read are ``Graph``s, which keep only
+the CSR adjacency, one byte per entry.
 """
 
 from __future__ import annotations
@@ -164,31 +166,12 @@ def _isin_sorted(q: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     return found
 
 
-def _shuffle(stubs: np.ndarray, block: np.ndarray, rng) -> np.ndarray:
-    """``stubs`` grouped by ascending block id (``block`` holds one per
-    vertex), in random order inside each block."""
-    rng.shuffle(stubs)
-    return stubs[np.argsort(block[stubs], kind="stable")]
-
-
-def _halves(stubs: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``stubs`` sorted by block id, then vertex, and ordered so that ``_place``
-    pairs each block's first half against its second half."""
-    stubs = stubs[np.lexsort((stubs, block[stubs]))]
-    counts = np.bincount(block[stubs])
-    start = np.repeat(np.cumsum(counts) - counts, counts)
-    slot = np.arange(stubs.size) - start
-    half = np.repeat(counts // 2, counts)
-    return stubs[start + slot // 2 + slot % 2 * half]
-
-
 def _pair(stubs: np.ndarray, n: int, rng, block: np.ndarray, seeded: np.ndarray):
     """Pair a stub multiset into simple edges ``(lo, hi)`` inside blocks
     (``block`` holds a block id per vertex), after the ``seeded`` edges.
     What ``_place`` and ``_swap_repair`` (at most 10 * |edges| swap
-    candidates) leave is reshuffled, or after a stall arranged by
-    ``_halves``, until none is left or three rounds in a row stall.
-    Returns the edges."""
+    candidates) leave is regrouped by block, reshuffled unless nothing was
+    placed, until none is left or three rounds in a row stall.  Returns edges."""
     # ``codes`` holds the sorted codes of the edges placed so far, which are
     # ``edges[:codes.size]``: each placement adds one edge and its code.
     edges = np.empty((len(seeded) + stubs.size // 2, 2), dtype=np.int64)
@@ -197,8 +180,11 @@ def _pair(stubs: np.ndarray, n: int, rng, block: np.ndarray, seeded: np.ndarray)
     budget = 10 * max(1, stubs.size // 2)
     stalls = 0
     while stubs.size and stalls < 3:
-        # Random rounds can keep pairing a vertex's stubs with each other.
-        stubs = _halves(stubs, block) if stalls else _shuffle(stubs, block, rng)
+        # Random rounds can keep pairing a vertex's stubs together; a stall
+        # keeps the leftovers' order, lower ends then upper, so ends meet anew.
+        if not stalls:
+            rng.shuffle(stubs)
+        stubs = stubs[np.argsort(block[stubs], kind="stable")]
         pending = stubs.size
         codes, u, v = _place(stubs, edges, codes, n)
         if u.size and budget > 0:
@@ -313,9 +299,9 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
     realizable inside the block with slack (enough distinct partners and
     partner stubs; otherwise hubs would be clipped) and the stub count is
     even, so that every stub has a partner in its block.  The slack covers
-    the largest degree and, when it is at least ``_BLOCK_SIZE``, the second
-    largest: two hubs in one block compete for the same partners.  With an
-    even degree sum the folded tail, and so every block, is even too."""
+    the largest degree and, when it is at least half ``_BLOCK_SIZE``, the
+    second largest: two hubs in one block compete for the same partners.
+    With an even degree sum the folded tail, and so every block, is even."""
     margin = 2.5  # partner slack per hub; tight blocks defeat edge-swap repair
     n = degrees.size
     order = rng.permutation(n)
@@ -329,7 +315,7 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
         total += d
         if d > d2:  # d1 >= d2 are the two largest degrees; a tie counts twice
             d1, d2 = max(d1, d), min(d1, d)
-            slack = margin * (d1 + (d2 if d2 >= _BLOCK_SIZE else 0))
+            slack = margin * (d1 + (d2 if 2 * d2 >= _BLOCK_SIZE else 0))
         if size >= _BLOCK_SIZE and size > slack and total - d1 >= slack and not total % 2:
             sizes.append(size)
             size = total = d1 = d2 = slack = 0

@@ -198,10 +198,13 @@ class TestGenerateContracts:
     def test_model_b_places_every_stub_of_the_ci_sequence(self):
         # Each block is sized for its two largest hubs, so hubs that share a
         # block find partners there.  Sized for its largest hub alone, the
-        # blocks of this sequence dropped 684 stubs, 310 of them at five hubs
-        # that shared one block.
-        seq = cli._target_sequence(PowerLawSpec(2, 1, 1000), 10_000, 0)
-        assert cli._realize(seq, 0, 1000, Model.B)[1] == 0
+        # blocks of the CI sequence (k_max 1000, seed 0) dropped 684 stubs,
+        # 310 of them at five hubs that shared one block.  At k_max 32, seeds
+        # 2 and 26 each dropped 2 stubs while the second degree counted only
+        # from the block size up, not from half of it.
+        for k_max, seed in ((1000, 0), (32, 2), (32, 26)):
+            seq = cli._target_sequence(PowerLawSpec(2, 1, k_max), 10_000, seed)
+            assert cli._realize(seq, seed, k_max, Model.B)[1] == 0
 
     def test_model_b_last_round_hop_keeps_drops_few_at_kmax_1000(self):
         # A hub's stub that no double swap can place is passed on by the
@@ -214,12 +217,14 @@ class TestGenerateContracts:
         assert dropped <= 20
 
     def test_seed_to_graph_contract_is_pinned(self):
-        # The edges and drop counts that seeds give, hashed.  At k_max 32,
-        # seed 2, model B stalls twice (``_halves`` orders the leftovers) and
-        # drops 2 stubs; at 32 and 1000 B hops, so every pairing path is
-        # held, and the counters check that it still is.  A hop rewrites its
-        # pair's ends in place, so the ends that change count the hops.  A
-        # change that alters graphs on purpose restates the digest and counts.
+        # The edges and drop counts that seeds give, hashed.  At n = 2000,
+        # k_max 1000, seeds 8 and 11, every model stalls and then pairs the
+        # leftovers in the order they were left, and at seed 11 every model
+        # drops stubs; at n = 10^4, k_max 32 and 1000, B hops.  So every
+        # pairing path is held, and the counters check that it still is:
+        # rounds by the calls of ``_place``, and hops by the ends they rewrite
+        # in place.  A change that alters graphs on purpose restates the
+        # digest and counts.
         swap_repair, hops = netgen._swap_repair, []
 
         def counted(u, v, *args):
@@ -228,20 +233,21 @@ class TestGenerateContracts:
             hops.append(int(np.count_nonzero((np.stack((u, v)) != ends).any(axis=0))))
             return out
 
+        cells = [(k_max, seed, 10_000) for k_max in (10, 32, 1000) for seed in range(5)]
+        cells += [(1000, 8, 2000), (1000, 11, 2000)]
         digest, dropped = hashlib.sha256(), 0
         with mock.patch.object(netgen, "_swap_repair", counted), \
-                mock.patch.object(netgen, "_halves", wraps=netgen._halves) as halves:
-            for k_max in (10, 32, 1000):
-                for seed in range(5):
-                    seq = cli._target_sequence(PowerLawSpec(2, 1, k_max), 10_000, seed)
-                    for model in (Model.A, Model.B, Model.KALISKY):
-                        g, d = cli._realize(seq, seed, k_max, model)
-                        digest.update(g.edges.astype("<i8").tobytes())
-                        digest.update(d.to_bytes(8, "little"))
-                        dropped += d
-        assert (dropped, halves.call_count, sum(hops)) == (2, 2, 149)
+                mock.patch.object(netgen, "_place", wraps=netgen._place) as place:
+            for k_max, seed, n in cells:
+                seq = cli._target_sequence(PowerLawSpec(2, 1, k_max), n, seed)
+                for model in (Model.A, Model.B, Model.KALISKY):
+                    g, d = cli._realize(seq, seed, k_max, model)
+                    digest.update(g.edges.astype("<i8").tobytes())
+                    digest.update(d.to_bytes(8, "little"))
+                    dropped += d
+        assert (dropped, place.call_count, sum(hops)) == (1170, 134, 3688)
         assert digest.hexdigest() == (
-            "02323a0ce8fdab391260901a664f93bfebb32a7c97f300a55f680fe68aa5cc39"
+            "3016abbffb73b9b57dc47c81b5e81cc824fcf3c01e2530317374e393c8ff5b3e"
         )
 
     def test_model_a_reaches_every_realization_but_not_uniformly(self):
