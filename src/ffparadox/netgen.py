@@ -15,8 +15,14 @@ wiring style while keeping the degree sequence (almost) intact:
               d2 counted only from 16 up, it has more than s vertices, at
               least s stubs besides d1's and an even stub count; the
               infeasible tail joins the largest block.
-* Kalisky   - vertices are placed hubs-first, each attaching to an open stub
-              of the placed ones; leftovers are paired in one block.
+* Kalisky   - vertices are placed hubs-first, each attaching to a uniformly
+              drawn open stub of the placed ones; leftovers are paired in
+              one block.  A run of equal degree d is placed in one array
+              pass: an arriving vertex's first new stub takes the slot of
+              the stub it spent and its other d - 2 are appended, so the
+              pool's size at every step, and all the run's draws, are known
+              at once.  Each draw is still uniform over the open stubs, so
+              the law of the attachment edges is the sequential one.
 
 Pairing rounds group shuffled stubs by block, pair them by reshaping and find
 self-loops and repeats from sorted edge codes ``lo * n + hi``; conflicts are
@@ -330,26 +336,56 @@ def _blocks(degrees: np.ndarray, rng) -> np.ndarray:
 
 def _attach_hubs_first(degrees: np.ndarray, rng):
     """KALISKY's attachment edges ``(lo, hi)`` and open stubs: vertices arrive
-    in descending degree order, and each spends one stub on a random open stub
-    of the placed vertices (which favors the hubs) and pools the rest, so all
-    positive-degree vertices join one hub-centered component."""
+    in descending degree order, and each spends one stub on a uniformly drawn
+    open stub of the placed vertices (which favors the hubs) and pools the
+    rest, so all positive-degree vertices join one hub-centered component.
+
+    The pool is an array of slots, one open stub each, and a run of equal
+    degree d is placed in one pass.  For d >= 2 an arriving vertex's first
+    new stub takes the slot of the stub it spent, and its other d - 2 are
+    appended, so step t of the run draws from S + t (d - 2) slots, S the
+    pool before the run.  A slot's stub at step t belongs to the slot's last
+    chooser before t, or else to the slot's first owner.  For d = 1 the pool
+    only shrinks: the run spends a prefix of one random permutation of it,
+    and once it is empty the rest alternate, one pooling its stub and the
+    next attaching to it.  Every step draws uniformly from the open stubs
+    whatever their slots, so the law of the edges is the sequential one;
+    a vertex attaches once, to vertices placed before it, so no self-loop
+    or repeated edge is made.
+    """
     order = np.argsort(-degrees, kind="stable")[:np.count_nonzero(degrees)]
-    draws = rng.random(order.size).tolist()
-    open_stubs = []  # vertex id repeated once per open stub
-    ends = []  # attachment edges, flat: u0, v0, u1, v1, ...
-    for v, d, r in zip(order.tolist(), degrees[order].tolist(), draws):
-        if open_stubs:
-            # v is not yet in the pool, so the draw cannot self-loop and the
-            # edge cannot already exist.
-            pos = int(r * len(open_stubs))
-            ends += (open_stubs[pos], v)
-            open_stubs[pos] = open_stubs[-1]
-            del open_stubs[-1]
-            d -= 1
-        if d:
-            open_stubs += [v] * d
-    attached = np.sort(np.array(ends, dtype=np.int64).reshape(-1, 2), axis=1)
-    return attached, np.array(open_stubs, dtype=np.int64)
+    pool = np.empty(int(degrees.sum()), dtype=np.int64)  # slots 0 .. size - 1 open
+    size = int(degrees[order[0]]) if order.size else 0
+    pool[:size] = order[:1]  # the first vertex has nothing to attach to
+    rest = order[1:]
+    runs = np.split(rest, np.flatnonzero(np.diff(degrees[rest])) + 1) if rest.size else []
+    ends = [np.empty((0, 2), dtype=np.int64)]  # (open stub's vertex, arriving vertex)
+    for run in runs:
+        d, m = int(degrees[run[0]]), run.size
+        if d >= 2:
+            slot = (rng.random(m) * (size + np.arange(m) * (d - 2))).astype(np.int64)
+            pool[size:size + m * (d - 2)] = np.repeat(run, d - 2)
+            size += m * (d - 2)
+            target = pool[slot]  # first owners
+            by_slot = np.argsort(slot, kind="stable")  # by (slot, step)
+            s = slot[by_slot]
+            same = s[1:] == s[:-1]  # an earlier step chose the same slot
+            target[by_slot[1:][same]] = run[by_slot[:-1][same]]
+            last = np.append(~same, True)
+            pool[s[last]] = run[by_slot[last]]
+            ends.append(np.column_stack((target, run)))
+        else:
+            k = min(m, size)
+            perm = rng.permutation(size)
+            ends.append(np.column_stack((pool[perm[:k]], run[:k])))
+            left = run[k:]  # arrives at an empty pool: pooled, then attached to
+            ends.append(left[:left.size - left.size % 2].reshape(-1, 2))
+            pool[:size - k] = pool[perm[k:]]
+            size -= k
+            if left.size % 2:
+                pool[0], size = left[-1], 1
+    attached = np.sort(np.concatenate(ends), axis=1)
+    return attached, pool[:size]
 
 
 def generate(seq, model: Model, seed: int) -> Graph:
@@ -391,9 +427,32 @@ def drop_report(g: Graph, seq) -> DropReport:
     return DropReport(per_vertex=tuple(diff.tolist()), total=int(diff.sum()))
 
 
-# Edges per write: a slice's ids and text stay near 1.6 MB at any graph size,
-# and on a 2-vCPU Xeon larger slices wrote 2.3 million edges no faster.
+# Edges per write: a slice's ids, characters and text peak near 0.9 MB at
+# any graph size.  On a 2-vCPU Xeon the 2 x 10^5 edges of a 10^5-vertex
+# graph write in 0.012-0.019 s, and slices of 2^12 to 2^16 edges wrote the
+# 2.3 million of a 10^6-vertex graph equally fast (0.17-0.24 s).
 _WRITE_SLICE = 2**14
+
+
+def _edge_text(part: np.ndarray) -> str:
+    """The ``u v`` lines of the edges ``part``, built as bytes in numpy: the
+    decimal digits of each id, without leading zeros, then a space or a
+    newline."""
+    ids = part.T.astype(np.uint32)  # below _MAX_N = 10^7: seven digits at most
+    width = len(str(int(ids.max())))
+    # Character j of every id in row j, so each pass writes one row; the
+    # transpose to line order is taken by the compress at the end.
+    chars = np.empty((width + 1,) + ids.shape, dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    powers = 10 ** np.arange(width - 1, 0, -1)  # a leading zero where id < power
+    np.greater_equal(ids, powers[:, None, None], out=keep[:-2])
+    for j in range(width - 1, -1, -1):
+        tens = ids // 10  # scalar floor division is several times faster than divmod
+        chars[j] = ids - 10 * tens
+        ids = tens
+    chars[:-1] += ord("0")
+    chars[-1, 0], chars[-1, 1] = ord(" "), ord("\n")
+    return chars.T[keep.T].tobytes().decode("ascii")
 
 
 def write_edge_list(g: Graph, out):
@@ -402,9 +461,7 @@ def write_edge_list(g: Graph, out):
     with (contextlib.nullcontext(out) if hasattr(out, "write")
           else open(out, "w", encoding="ascii")) as fh:
         for start in range(0, len(g.edges), _WRITE_SLICE):
-            part = g.edges[start:start + _WRITE_SLICE]
-            # one %-format per slice: several times faster than edge by edge
-            fh.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
+            fh.write(_edge_text(g.edges[start:start + _WRITE_SLICE]))
 
 
 def read_edge_list(path) -> Graph:

@@ -267,7 +267,7 @@ def inner_path_vertices(g):
     return total // 2
 
 
-@pytest.mark.parametrize("model, want", [(Model.KALISKY, 177_743_543),
+@pytest.mark.parametrize("model, want", [(Model.KALISKY, 177_750_362),
                                          (Model.B, 3_663_525)])
 def test_criterion_9_betweenness_sums_inner_path_vertices(structure_graphs,
                                                           model, want):

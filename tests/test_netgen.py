@@ -7,12 +7,15 @@ import os
 import tempfile
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from ffparadox import cli, metrics, netgen
 from ffparadox.errors import ImpossibleSequenceError
@@ -245,9 +248,9 @@ class TestGenerateContracts:
                     digest.update(g.edges.astype("<i8").tobytes())
                     digest.update(d.to_bytes(8, "little"))
                     dropped += d
-        assert (dropped, place.call_count, sum(hops)) == (1170, 134, 3688)
+        assert (dropped, place.call_count, sum(hops)) == (1166, 137, 3816)
         assert digest.hexdigest() == (
-            "3016abbffb73b9b57dc47c81b5e81cc824fcf3c01e2530317374e393c8ff5b3e"
+            "6f42d2b9bdbabbaf09beb995587c9145304ede31f92b86f4aa047c55ea60fd2e"
         )
 
     def test_model_a_reaches_every_realization_but_not_uniformly(self):
@@ -284,6 +287,70 @@ class TestGenerateContracts:
         g = generate(seq, Model.KALISKY, seed=13)
         comps = metrics.components(g)
         assert comps[0] >= 0.9 * g.n
+
+
+def kalisky_law(seq):
+    """Exact law of KALISKY's attachment edges, by recursion over open-stub
+    multisets: vertices arrive in descending degree order (ties by id); each
+    spends one stub on a uniformly drawn open stub, if there is one, and
+    pools the rest.  Maps each edge set to its probability."""
+    order = sorted((v for v in range(len(seq)) if seq[v]), key=lambda v: -seq[v])
+    law = Counter()
+
+    def arrive(i, pool, edges, p):
+        if i == len(order):
+            law[edges] += p
+            return
+        v, d = order[i], seq[order[i]]
+        total = sum(pool.values())
+        if not total:
+            arrive(i + 1, Counter({v: d}), edges, p)
+        for u, c in pool.items():
+            arrive(i + 1, pool - Counter({u: 1}) + Counter({v: d - 1}),
+                   edges | {(min(u, v), max(u, v))}, p * Fraction(c, total))
+
+    arrive(0, Counter(), frozenset(), Fraction(1))
+    return law
+
+
+class TestKaliskyAttachment:
+    @pytest.mark.parametrize("seq", [
+        [3, 2, 2, 2, 1, 1, 1],
+        [2, 2, 2, 2, 1, 1, 1, 1],  # a d = 2 run keeps the pool's size
+        [4, 3, 3] + [1] * 7,
+        [3] + [1] * 8,  # the d = 1 run outlasts the pool
+    ])
+    def test_attachment_follows_the_sequential_law(self, seq):
+        # The chi-square bound is the 0.999 quantile on (outcomes - 1)
+        # degrees of freedom; an exhausting pool has a single outcome.
+        law = kalisky_law(seq)
+        assert sum(law.values()) == 1
+        counts, seeds = Counter(), 3000
+        for seed in range(seeds):
+            attached, pool = netgen._attach_hubs_first(np.array(seq), np.random.default_rng(seed))
+            kept = np.bincount(attached.ravel(), minlength=len(seq))
+            assert (kept + np.bincount(pool, minlength=len(seq))).tolist() == seq
+            counts[frozenset(map(tuple, attached.tolist()))] += 1
+        assert set(counts) <= set(law)
+        if len(law) == 1:
+            assert counts == Counter({next(iter(law)): seeds})
+        else:
+            stat = sum((counts[e] - seeds * p) ** 2 / (seeds * p) for e, p in law.items())
+            assert stat < chi2.ppf(0.999, len(law) - 1)
+
+    @pytest.mark.parametrize("seq, pooled", [
+        ([0], []),
+        ([0, 0, 0], []),
+        ([2, 0, 0], [0, 0]),  # one positive degree: nothing to attach to
+        ([0, 4, 0, 0, 0], [1, 1, 1, 1]),
+    ])
+    def test_nothing_attaches_without_a_second_positive_degree(self, seq, pooled):
+        attached, pool = netgen._attach_hubs_first(np.array(seq), np.random.default_rng(0))
+        assert attached.shape == (0, 2)
+        assert pool.tolist() == pooled
+        g = generate(seq, Model.KALISKY, seed=0)
+        assert g.n == len(seq) and g.edges.tolist() == []
+        assert drop_report(g, seq).total == sum(seq)
 
 
 class TestDropReport:
@@ -355,6 +422,21 @@ class TestEdgeListIO:
             with open(path, "rb") as fh:
                 assert fh.read() == want.encode("ascii")
         assert text.getvalue() == want
+
+    def test_slices_cross_every_decimal_width(self, tmp_path):
+        # Ids with 1 to 7 digits, up to _MAX_N - 1, on every side of each
+        # width boundary.  The writer reads only ``edges``; a 10^7-vertex
+        # Graph would spend 80 MB on its row index.
+        ids = [0] + [10**k + d for k in range(1, 7) for d in (-1, 0)] + [netgen._MAX_N - 1]
+        for edges in (list(itertools.combinations(ids, 2)), []):
+            g = SimpleNamespace(edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+            want = "".join(f"{u} {v}\n" for u, v in edges)
+            text, path = io.StringIO(), tmp_path / "g.txt"
+            with mock.patch.object(netgen, "_WRITE_SLICE", 3):
+                write_edge_list(g, path)
+                write_edge_list(g, text)
+            assert path.read_bytes() == want.encode("ascii")
+            assert text.getvalue() == want
 
     def test_writing_holds_one_slice_at_a_time(self):
         # A ring with chords, 2 x 10^5 edges: formatted whole, its ids and
