@@ -54,9 +54,10 @@ def _bisect(before, lo: float, hi: float, tol: float) -> float:
     """Midpoint of the final bracket, at most ``tol`` wide, around where the
     predicate ``before`` turns from true to false on [lo, hi].
 
-    Not ``scipy.optimize``: importing it adds 0.21-0.25 s to the 0.43 s of
-    ``import ffparadox.cli`` and 15.7 MB to an ``experiment`` peak RSS of
-    about 112 MB (Python 3.11, scipy 1.17).
+    Not ``scipy.optimize``: importing it adds about 0.6 s to the 0.22-0.24 s
+    of ``import ffparadox.cli``, which loads no scipy module, and 16.5-17.2
+    MB to the default ``experiment``'s peak RSS of 71 MB (fresh processes on
+    a 2-CPU host, Python 3.11, scipy 1.17).
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -17,12 +17,13 @@ wiring style while keeping the degree sequence (almost) intact:
               infeasible tail joins the largest block.
 * Kalisky   - vertices are placed hubs-first, each attaching to a uniformly
               drawn open stub of the placed ones; leftovers are paired in
-              one block.  A run of equal degree d is placed in one array
-              pass: an arriving vertex's first new stub takes the slot of
-              the stub it spent and its other d - 2 are appended, so the
-              pool's size at every step, and all the run's draws, are known
-              at once.  Each draw is still uniform over the open stubs, so
-              the law of the attachment edges is the sequential one.
+              one block.  All vertices of degree d >= 2 are placed in one
+              array pass: an arriving vertex's first new stub takes the
+              slot of the stub it spent and its other d - 2 are appended,
+              so the pool's size before every arrival, and all the draws,
+              are known at once.  Each draw is still uniform over the open
+              stubs, so the law of the attachment edges is the sequential
+              one.
 
 Pairing rounds group shuffled stubs by block, pair them by reshaping and find
 self-loops and repeats from sorted edge codes ``lo * n + hi``; conflicts are
@@ -44,11 +45,14 @@ import functools
 import io
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import ImpossibleSequenceError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class Model(str, Enum):
@@ -116,8 +120,16 @@ class Graph:
             repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
             i = int(repeat.argmax())  # the first edge that repeats an earlier one
             raise _EdgeError(f"duplicate edge {(int(lo[i]), int(hi[i]))}", i)
-        indptr = np.searchsorted(both, np.arange(n + 1) * n)
-        return Graph(csr_matrix((np.ones(both.size, bool), both % n, indptr), shape=(n, n)))
+        # Row pointers from each vertex's entry count, and both index arrays
+        # in the dtype scipy stores (int32 while the entries fit), so that it
+        # keeps them uncopied.
+        from scipy.sparse import csr_matrix
+
+        idx = np.int32 if both.size <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+        indices = np.remainder(both, n, out=both).astype(idx)
+        return Graph(csr_matrix((np.ones(both.size, bool), indices, indptr), shape=(n, n)))
 
     @functools.cached_property
     def edges(self) -> np.ndarray:
@@ -135,6 +147,8 @@ class Graph:
     @functools.cached_property
     def labels(self) -> np.ndarray:
         """Read-only connected-component label of every vertex."""
+        from scipy.sparse import csgraph
+
         _, labels = csgraph.connected_components(self.adjacency, directed=False)
         labels.flags.writeable = False
         return labels
@@ -340,51 +354,57 @@ def _attach_hubs_first(degrees: np.ndarray, rng):
     open stub of the placed vertices (which favors the hubs) and pools the
     rest, so all positive-degree vertices join one hub-centered component.
 
-    The pool is an array of slots, one open stub each, and a run of equal
-    degree d is placed in one pass.  For d >= 2 an arriving vertex's first
-    new stub takes the slot of the stub it spent, and its other d - 2 are
-    appended, so step t of the run draws from S + t (d - 2) slots, S the
-    pool before the run.  A slot's stub at step t belongs to the slot's last
-    chooser before t, or else to the slot's first owner.  For d = 1 the pool
-    only shrinks: the run spends a prefix of one random permutation of it,
-    and once it is empty the rest alternate, one pooling its stub and the
-    next attaching to it.  Every step draws uniformly from the open stubs
-    whatever their slots, so the law of the edges is the sequential one;
-    a vertex attaches once, to vertices placed before it, so no self-loop
-    or repeated edge is made.
+    The pool is an array of slots, one open stub each, and all vertices of
+    degree d >= 2 are placed in one pass.  Such a vertex's first new stub
+    takes the slot of the stub it spent and its other d - 2 are appended,
+    so the pool never shrinks and its size before each arrival, S (the
+    first vertex's degree) plus the d - 2 of every earlier arrival, is known
+    up front: one array of uniforms draws every slot.  A slot's stub at an
+    arrival belongs to the slot's last earlier chooser, or else to the
+    slot's first owner.  Vertices of degree 1 only shrink the pool: they
+    spend a prefix of one random permutation of it, and once it is empty
+    the rest alternate, one pooling its stub and the next attaching to it.
+    Every step draws uniformly from the open stubs whatever their slots, so
+    the law of the edges is the sequential one; a vertex attaches once, to
+    vertices placed before it, so no self-loop or repeated edge is made.
     """
-    order = np.argsort(-degrees, kind="stable")[:np.count_nonzero(degrees)]
+    top = int(degrees.max())
+    # The order of -degrees, from keys that numpy radix-sorts up to 16 bits.
+    key = (top - degrees).astype(np.min_scalar_type(top))
+    order = np.argsort(key, kind="stable")[:np.count_nonzero(degrees)]
     pool = np.empty(int(degrees.sum()), dtype=np.int64)  # slots 0 .. size - 1 open
-    size = int(degrees[order[0]]) if order.size else 0
-    pool[:size] = order[:1]  # the first vertex has nothing to attach to
+    first = int(degrees[order[0]]) if order.size else 0
+    pool[:first] = order[:1]  # the first vertex has nothing to attach to
     rest = order[1:]
-    runs = np.split(rest, np.flatnonzero(np.diff(degrees[rest])) + 1) if rest.size else []
-    ends = [np.empty((0, 2), dtype=np.int64)]  # (open stub's vertex, arriving vertex)
-    for run in runs:
-        d, m = int(degrees[run[0]]), run.size
-        if d >= 2:
-            slot = (rng.random(m) * (size + np.arange(m) * (d - 2))).astype(np.int64)
-            pool[size:size + m * (d - 2)] = np.repeat(run, d - 2)
-            size += m * (d - 2)
-            target = pool[slot]  # first owners
-            by_slot = np.argsort(slot, kind="stable")  # by (slot, step)
-            s = slot[by_slot]
-            same = s[1:] == s[:-1]  # an earlier step chose the same slot
-            target[by_slot[1:][same]] = run[by_slot[:-1][same]]
-            last = np.append(~same, True)
-            pool[s[last]] = run[by_slot[last]]
-            ends.append(np.column_stack((target, run)))
-        else:
-            k = min(m, size)
-            perm = rng.permutation(size)
-            ends.append(np.column_stack((pool[perm[:k]], run[:k])))
-            left = run[k:]  # arrives at an empty pool: pooled, then attached to
-            ends.append(left[:left.size - left.size % 2].reshape(-1, 2))
-            pool[:size - k] = pool[perm[k:]]
-            size -= k
-            if left.size % 2:
-                pool[0], size = left[-1], 1
-    attached = np.sort(np.concatenate(ends), axis=1)
+    d = degrees[rest]
+    hubs, ones = rest[d >= 2], rest[d == 1]  # hubs: a prefix, as d descends
+    m, grow = hubs.size, d[:hubs.size] - 2
+    size = first + int(grow.sum())
+    pool[first:size] = np.repeat(hubs, grow)
+    slot = (rng.random(m) * (first + np.cumsum(grow) - grow)).astype(np.int64)
+    target = pool[slot]  # first owners
+    # Distinct keys slot * m + step sort into (slot, step) order on any CPU.
+    # They stay below the degree sum times _MAX_N, inside int64 wherever the
+    # pool (8 bytes a stub) fits in memory.
+    s, step = np.divmod(np.sort(slot * m + np.arange(m)), m)
+    same = s[1:] == s[:-1]  # an earlier step chose the same slot
+    target[step[1:][same]] = hubs[step[:-1][same]]
+    last = np.ones(m, dtype=bool)
+    last[:-1] = ~same
+    pool[s[last]] = hubs[step[last]]
+    ends = [np.column_stack((target, hubs))]  # (open stub's vertex, arriving vertex)
+    if ones.size:
+        k = min(ones.size, size)
+        perm = rng.permutation(size)
+        ends.append(np.column_stack((pool[perm[:k]], ones[:k])))
+        left = ones[k:]  # arrives at an empty pool: pooled, then attached to
+        ends.append(left[:left.size - left.size % 2].reshape(-1, 2))
+        pool[:size - k] = pool[perm[k:]]
+        size -= k
+        if left.size % 2:
+            pool[0], size = left[-1], 1
+    e = np.concatenate(ends)
+    attached = np.column_stack((np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])))
     return attached, pool[:size]
 
 

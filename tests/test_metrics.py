@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
-from ffparadox import metrics, netgen
+from ffparadox import metrics
 from ffparadox.errors import (
     AllIsolatedError,
     DivergentError,
@@ -636,7 +636,7 @@ class TestPendantTrees:
             labellings.append(1)
             return label(*args, **kwargs)
 
-        monkeypatch.setattr(netgen.csgraph, "connected_components", counted)
+        monkeypatch.setattr(csgraph, "connected_components", counted)
         g = graph_from(8, [(v, (v + 1) % 5) for v in range(5)] + [(4, 5), (6, 7)])
         for metric in (components, global_efficiency, betweenness,
                        central_point_dominance):

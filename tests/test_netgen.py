@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -313,6 +313,36 @@ def kalisky_law(seq):
     return law
 
 
+def sequential_attachment(seq, rng):
+    """KALISKY's attachment stub by stub, drawing what ``_attach_hubs_first``
+    draws: each arriving vertex of degree d >= 2 takes one uniform, spends
+    the stub in slot int(u * size) of the pool, leaves its own first new stub
+    in that slot and appends its other d - 2.  The d = 1 tail spends a prefix
+    of one permutation of the pool.  Returns the edges ``(lo, hi)`` in
+    arrival order and the open pool."""
+    seq = np.asarray(seq, dtype=np.int64)
+    order = np.argsort(-seq, kind="stable")[:np.count_nonzero(seq)].tolist()
+    pool = [order[0]] * int(seq[order[0]]) if order else []
+    edges = []
+    for v in order[1:]:
+        d = int(seq[v])
+        if d >= 2:
+            slot = int(rng.random() * len(pool))
+            edges.append((pool[slot], v))
+            pool[slot] = v
+            pool += [v] * (d - 2)
+    ones = np.array([v for v in order[1:] if seq[v] == 1], dtype=np.int64)
+    pool = np.array(pool, dtype=np.int64)
+    if ones.size:
+        k = min(ones.size, pool.size)
+        perm = rng.permutation(pool.size)
+        edges += zip(pool[perm[:k]].tolist(), ones[:k].tolist())
+        left = ones[k:]  # arrives at an empty pool: pooled, then attached to
+        edges += left[:left.size - left.size % 2].reshape(-1, 2).tolist()
+        pool = left[-1:] if left.size % 2 else pool[perm[k:]]
+    return np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1), pool
+
+
 class TestKaliskyAttachment:
     @pytest.mark.parametrize("seq", [
         [3, 2, 2, 2, 1, 1, 1],
@@ -337,6 +367,24 @@ class TestKaliskyAttachment:
         else:
             stat = sum((counts[e] - seeds * p) ** 2 / (seeds * p) for e, p in law.items())
             assert stat < chi2.ppf(0.999, len(law) - 1)
+
+    @settings(deadline=None, max_examples=300)
+    @example(seq=[0], seed=0)
+    @example(seq=[5], seed=0)
+    @example(seq=[0, 0, 3], seed=1)
+    @example(seq=[1] * 9, seed=2)
+    @example(seq=[2] * 9, seed=3)
+    @example(seq=powerlaw_sequence(10**4, 1000, sample_seed=3).tolist(), seed=5)
+    # a degree of 2^16 or more: the arrival order's keys exceed 16 bits
+    @example(seq=[3] * 10 + [70000] + [1] * 60000, seed=5)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_attachment_draws_what_the_stub_by_stub_sampler_draws(self, seq, seed):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        attached, pool = netgen._attach_hubs_first(np.array(seq), rng)
+        want, want_pool = sequential_attachment(seq, reference)
+        assert np.array_equal(attached, want) and np.array_equal(pool, want_pool)
+        assert rng.random() == reference.random()  # as many draws spent
 
     @pytest.mark.parametrize("seq, pooled", [
         ([0], []),
