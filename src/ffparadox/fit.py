@@ -1,8 +1,8 @@
 """Estimate the power-law scaling parameter from observed degree data: by
 maximum likelihood on raw observations (continuous truncated model), or by
 inverting one observed moment (mean, variance or variance-to-mean ratio)
-against the closed-form predictions.  The likelihood score and the moments'
-slopes are exact in (ln E)' from ``powerlaw``; every search is one ``_bisect``.
+against the closed-form predictions.  The likelihood score and the ratio's
+slope are exact in (ln E)' from ``powerlaw``; every search is one ``_bisect``.
 """
 
 from __future__ import annotations
@@ -127,21 +127,18 @@ def fit_alpha(data, k_min: float | None = None, k_max: float = math.inf) -> FitR
     )
 
 
-def _peak_alpha(which: Moment, k_min: float, k_max: float) -> float:
-    """Maximizer over the bracket of the predicted moment ``which``: the lower
-    edge, or where its slope turns negative, as the variance-to-mean ratio's
-    does near alpha = 7/6.  With L = (ln E)', d ln<k>/d alpha = L(1 - alpha) -
-    L(2 - alpha) and d ln<k_FF>/d alpha = L(2 - alpha) - L(3 - alpha), exactly."""
+def _peak_alpha(k_min: float, k_max: float) -> float:
+    """Maximizer over the bracket of the predicted variance-to-mean ratio
+    <k_FF> - <k>: the lower edge, or where its slope turns negative, near
+    alpha = 7/6.  With L = (ln E)', d ln<k>/d alpha = L(1 - alpha) -
+    L(2 - alpha) and d ln<k_FF>/d alpha = L(2 - alpha) - L(3 - alpha),
+    exactly, so the ratio rises where <k_FF> d ln<k_FF> > <k> d ln<k>."""
     span = powerlaw.PowerLawSpec(ALPHA_LO, k_min, k_max).span
 
     def rising(a):
         p = powerlaw.predict(powerlaw.PowerLawSpec(a, k_min, k_max))
         l1, l2, l3 = (powerlaw._log_e_slope(j - a, span) for j in (1.0, 2.0, 3.0))
-        d_mean = p.mean_k * (l1 - l2)
-        d_ratio = p.k_ff * (l2 - l3) - d_mean
-        slope = {Moment.MEAN: d_mean, Moment.VAR_TO_MEAN: d_ratio,
-                 Moment.VARIANCE: p.var_to_mean * d_mean + p.mean_k * d_ratio}
-        return slope[which] > 0.0
+        return p.k_ff * (l2 - l3) > p.mean_k * (l1 - l2)
 
     return _bisect(rising, ALPHA_LO, ALPHA_HI, 1e-9) if rising(ALPHA_LO) else ALPHA_LO
 
@@ -160,9 +157,13 @@ def alpha_from_moment(
     is noisier than its range over the bracket, so VAR_TO_MEAN on [1, 1.001]
     refuses the model's own prediction at alpha = 1.3 with OutOfRangeError.
 
-    The moments decrease in alpha except for a shallow variance-to-mean
-    maximum near alpha = 7/6; inversion solves on the decreasing branch to
-    its right (the usual scale-free regime), verified at its endpoints first.
+    The mean and the variance decrease in alpha on the whole bracket: with
+    k^-alpha an exponential family in ln k, d<f(k)>/d alpha = -Cov(f(k), ln k),
+    negative for f(k) = k and, checked numerically, for f(k) = (k - <k>)^2.
+    Their inversion starts at the lower edge.  The variance-to-mean ratio has
+    a shallow maximum near alpha = 7/6; its inversion solves on the
+    decreasing branch to the right of that peak (the usual scale-free
+    regime).  Each branch is verified at its endpoints first.
     """
     which = Moment(which)
     if math.isinf(k_max):
@@ -174,8 +175,8 @@ def alpha_from_moment(
         result = powerlaw.predict(powerlaw.PowerLawSpec(a, k_min, k_max))
         return getattr(result, _MOMENT_FIELDS[which])
 
-    lo, hi = _peak_alpha(which, k_min, k_max), ALPHA_HI
-    m_lo, m_hi = moment(lo), moment(hi)
+    lo = _peak_alpha(k_min, k_max) if which is Moment.VAR_TO_MEAN else ALPHA_LO
+    m_lo, m_hi = moment(lo), moment(ALPHA_HI)
     if not m_lo > m_hi:
         raise NonMonotoneError(
             f"{which.value} is not decreasing in alpha on the bracket for "
@@ -186,4 +187,4 @@ def alpha_from_moment(
             f"observed {which.value} {observed!r} outside attainable "
             f"[{m_hi:.6g}, {m_lo:.6g}]"
         )
-    return _bisect(lambda a: moment(a) > observed, lo, hi, 1e-9)
+    return _bisect(lambda a: moment(a) > observed, lo, ALPHA_HI, 1e-9)

@@ -354,16 +354,16 @@ def _attach_hubs_first(degrees: np.ndarray, rng):
     open stub of the placed vertices (which favors the hubs) and pools the
     rest, so all positive-degree vertices join one hub-centered component.
 
-    The pool is an array of slots, one open stub each, and all vertices of
-    degree d >= 2 are placed in one pass.  Such a vertex's first new stub
-    takes the slot of the stub it spent and its other d - 2 are appended,
-    so the pool never shrinks and its size before each arrival, S (the
-    first vertex's degree) plus the d - 2 of every earlier arrival, is known
-    up front: one array of uniforms draws every slot.  A slot's stub at an
+    The pool is an array of exactly its open stubs, one slot each, and all
+    vertices of degree d >= 2 are placed in one pass.  Such a vertex's
+    first new stub takes the slot of the stub it spent and its other d - 2
+    are appended, so the pool never shrinks and its size before each
+    arrival, S (the first vertex's degree) plus the d - 2 of every earlier
+    arrival, is known up front: one array of uniforms draws every slot.  A slot's stub at an
     arrival belongs to the slot's last earlier chooser, or else to the
     slot's first owner.  Vertices of degree 1 only shrink the pool: they
-    spend a prefix of one random permutation of it, and once it is empty
-    the rest alternate, one pooling its stub and the next attaching to it.
+    spend a prefix of it, shuffled in place, and once it is empty the rest
+    alternate, one pooling its stub and the next attaching to it.
     Every step draws uniformly from the open stubs whatever their slots, so
     the law of the edges is the sequential one; a vertex attaches once, to
     vertices placed before it, so no self-loop or repeated edge is made.
@@ -372,15 +372,13 @@ def _attach_hubs_first(degrees: np.ndarray, rng):
     # The order of -degrees, from keys that numpy radix-sorts up to 16 bits.
     key = (top - degrees).astype(np.min_scalar_type(top))
     order = np.argsort(key, kind="stable")[:np.count_nonzero(degrees)]
-    pool = np.empty(int(degrees.sum()), dtype=np.int64)  # slots 0 .. size - 1 open
-    first = int(degrees[order[0]]) if order.size else 0
-    pool[:first] = order[:1]  # the first vertex has nothing to attach to
     rest = order[1:]
     d = degrees[rest]
     hubs, ones = rest[d >= 2], rest[d == 1]  # hubs: a prefix, as d descends
     m, grow = hubs.size, d[:hubs.size] - 2
-    size = first + int(grow.sum())
-    pool[first:size] = np.repeat(hubs, grow)
+    # The first vertex has nothing to attach to: all its stubs open the pool.
+    pool = np.repeat(np.concatenate((order[:1], hubs)), np.concatenate((degrees[order[:1]], grow)))
+    first = pool.size - int(grow.sum())
     slot = (rng.random(m) * (first + np.cumsum(grow) - grow)).astype(np.int64)
     target = pool[slot]  # first owners
     # Distinct keys slot * m + step sort into (slot, step) order on any CPU.
@@ -394,18 +392,15 @@ def _attach_hubs_first(degrees: np.ndarray, rng):
     pool[s[last]] = hubs[step[last]]
     ends = [np.column_stack((target, hubs))]  # (open stub's vertex, arriving vertex)
     if ones.size:
-        k = min(ones.size, size)
-        perm = rng.permutation(size)
-        ends.append(np.column_stack((pool[perm[:k]], ones[:k])))
+        k = min(ones.size, pool.size)
+        rng.shuffle(pool)
+        ends.append(np.column_stack((pool[:k], ones[:k])))
         left = ones[k:]  # arrives at an empty pool: pooled, then attached to
         ends.append(left[:left.size - left.size % 2].reshape(-1, 2))
-        pool[:size - k] = pool[perm[k:]]
-        size -= k
-        if left.size % 2:
-            pool[0], size = left[-1], 1
+        pool = np.concatenate((pool[k:], left[left.size - left.size % 2:]))
     e = np.concatenate(ends)
     attached = np.column_stack((np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])))
-    return attached, pool[:size]
+    return attached, pool
 
 
 def generate(seq, model: Model, seed: int) -> Graph:

@@ -1,7 +1,9 @@
 """Tests for scaling-parameter estimation: MLE and moment inversion."""
 
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,16 @@ class TestAlphaFromMoment:
                 got = alpha_from_moment(want, which, 1.0, 100.0)
                 assert abs(got - float(alpha)) <= 1e-6, (which, alpha, got)
 
+    @pytest.mark.parametrize("which", [Moment.MEAN, Moment.VARIANCE])
+    def test_mean_and_variance_invert_without_a_peak_search(self, which):
+        # Both fall on the whole bracket (test_mean_and_variance_fall_in_alpha),
+        # so their inversion starts at ALPHA_LO.
+        searched = AssertionError("peak searched")
+        with mock.patch.object(fit, "_peak_alpha", side_effect=searched):
+            for k_min, k_max in ((1.0, 100.0), (1.0, 1.05), (10.0, 1e5)):
+                want = getattr(predict(PowerLawSpec(2.5, k_min, k_max)), FIELDS[which])
+                assert abs(alpha_from_moment(want, which, k_min, k_max) - 2.5) <= 1e-6
+
     def test_negative_observed_out_of_range(self):
         for which in Moment:
             with pytest.raises(OutOfRangeError):
@@ -199,7 +211,7 @@ class TestAlphaFromMoment:
     def test_variance_to_mean_peak_on_a_narrow_support(self):
         # On [280, 302] the ratio is nearly flat and its closed form noisy;
         # the peak 1.16666498 is from 40-digit quadrature (mpmath).
-        peak = fit._peak_alpha(Moment.VAR_TO_MEAN, 280.0, 302.0)
+        peak = fit._peak_alpha(280.0, 302.0)
         assert abs(peak - 1.16666498) <= 5e-5
 
     # Maximizers of the closed-form ratio in 60-digit mpmath (root of its
@@ -216,7 +228,7 @@ class TestAlphaFromMoment:
         (1000.0, 1000.5, 1.16666666659322, 1e-4),
     ])
     def test_variance_to_mean_peak_matches_high_precision(self, k_min, k_max, want, tol):
-        assert abs(fit._peak_alpha(Moment.VAR_TO_MEAN, k_min, k_max) - want) <= tol
+        assert abs(fit._peak_alpha(k_min, k_max) - want) <= tol
 
     # Same 60-digit mpmath maximizers, at relative widths 1e-5 and 1e-6.
     @pytest.mark.xfail(
@@ -230,7 +242,7 @@ class TestAlphaFromMoment:
         (100.0, 100.0001, 1.1666666666666663),
     ])
     def test_variance_to_mean_peak_on_the_narrowest_supports(self, k_min, k_max, want):
-        assert abs(fit._peak_alpha(Moment.VAR_TO_MEAN, k_min, k_max) - want) <= 1e-6
+        assert abs(fit._peak_alpha(k_min, k_max) - want) <= 1e-6
 
     @pytest.mark.parametrize("k_min, k_max, alpha", [
         (50.0, 51.0, 1.1675), (100.0, 101.0, 1.2),
@@ -283,3 +295,41 @@ def test_moment_inversion_round_trips(alpha, k_min, ratio, which):
     k_max = k_min * ratio
     want = getattr(predict(PowerLawSpec(alpha, k_min, k_max)), FIELDS[which])
     assert abs(alpha_from_moment(want, which, k_min, k_max) - alpha) <= 1e-6
+
+
+def power_integrals(s, k_min, k_max):
+    """The integrals of k^s and of k^s ln k over [k_min, k_max], in mpmath."""
+    a, b, t = mpmath.mpf(k_min), mpmath.mpf(k_max), s + 1
+    if t == 0:
+        return mpmath.log(b / a), (mpmath.log(b) ** 2 - mpmath.log(a) ** 2) / 2
+    (p0, q0), (p1, q1) = ((k**t / t, k**t * (mpmath.log(k) / t - 1 / t**2)) for k in (a, b))
+    return p1 - p0, q1 - q0
+
+
+@pytest.mark.parametrize("k_min", [1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("ratio", [1 + 1e-7, 1.01, 10.0, 1e7])
+def test_mean_and_variance_fall_in_alpha(k_min, ratio):
+    # k^-alpha is an exponential family in ln k, so d<f(k)>/d alpha =
+    # -Cov(f(k), ln k) for a fixed f; the variance's slope is that of
+    # f = (k - <k>)^2, as <k - <k>> = 0.  Closed forms in 80 digits keep
+    # about 30 after the narrowest support and the difference steps cancel;
+    # central differences of the moments check the slopes.  This is why
+    # only the variance-to-mean ratio's inversion searches for a peak.
+    k_max = k_min * ratio
+
+    def moments(alpha):
+        (i0, j0), (i1, j1), (i2, j2) = (power_integrals(s - alpha, k_min, k_max) for s in range(3))
+        mean, ln_k = i1 / i0, j0 / i0
+        var = i2 / i0 - mean**2
+        d_mean = -(j1 - mean * j0) / i0
+        d_var = -((j2 - 2 * mean * j1 + mean**2 * j0) / i0 - var * ln_k)
+        return mean, var, d_mean, d_var
+
+    with mpmath.workdps(80):
+        h = mpmath.mpf("1e-6")
+        for alpha in map(mpmath.mpf, ("1.0012", "1.5", "2", "3", "6")):
+            below, above = moments(alpha - h), moments(alpha + h)
+            for which, slope in enumerate(moments(alpha)[2:]):
+                assert slope < 0, (k_min, ratio, alpha, which)
+                step = (above[which] - below[which]) / (2 * h)
+                assert abs(step / slope - 1) < 1e-6, (k_min, ratio, alpha, which)

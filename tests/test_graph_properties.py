@@ -10,6 +10,7 @@ import sys
 import tempfile
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -123,7 +124,6 @@ def test_degrees_and_friends_of_friends(case):
 @no_deadline
 @given(edge_lists())
 def test_components_match_networkx(case):
-    nx = pytest.importorskip("networkx")
     n, canon, edges = case
     sizes = components(Graph.from_edges(n, edges))
     assert sum(sizes) == n
@@ -138,7 +138,6 @@ def test_components_match_networkx(case):
 @no_deadline
 @given(multi_component_graphs())
 def test_traversal_metrics_match_networkx(case):
-    nx = pytest.importorskip("networkx")
     n, edges = case
     g = Graph.from_edges(n, edges)
     reference = nx.Graph()

@@ -10,6 +10,7 @@ import time
 from collections import Counter, deque
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -341,7 +342,6 @@ def test_invalid_input_is_refused(call, message):
 def assert_matches_networkx(g):
     """Efficiency and betweenness against networkx; betweenness is taken one
     component at a time, where no shortest path leaves the component."""
-    nx = pytest.importorskip("networkx")
     reference = nx.Graph()
     reference.add_nodes_from(range(g.n))
     reference.add_edges_from(g.edges.tolist())
@@ -360,7 +360,6 @@ def assert_matches_networkx(g):
 def distance_counts(g):
     """N_k, the number of ordered vertex pairs at hop distance k >= 1, from
     networkx distances."""
-    nx = pytest.importorskip("networkx")
     reference = nx.Graph()
     reference.add_nodes_from(range(g.n))
     reference.add_edges_from(g.edges.tolist())
@@ -395,7 +394,6 @@ def connected_blocks(sizes, rng):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_generated_graphs_match_networkx(model):
-    nx = pytest.importorskip("networkx")
     seq = make_graphical(sample_degrees(PowerLawSpec(2.0, 1.0, 40.0), 400, 3), seed=1)
     # Model B is compared at ten generator seeds, whose graphs must have many
     # components on average.
@@ -601,7 +599,6 @@ class TestPendantTrees:
         assert_matches_networkx(g)
 
     def test_barbell_with_tails(self):
-        nx = pytest.importorskip("networkx")
         reference = nx.barbell_graph(5, 3)  # two K5 joined by a 3-vertex path
         n = reference.number_of_nodes()
         reference.add_edges_from([(0, n), (n, n + 1), (n + 1, n + 2), (12, n + 3)])

@@ -386,6 +386,20 @@ class TestKaliskyAttachment:
         assert np.array_equal(attached, want) and np.array_equal(pool, want_pool)
         assert rng.random() == reference.random()  # as many draws spent
 
+    def test_pool_holds_only_its_open_stubs(self):
+        # n = 10^5, k_max 100: a pool sized by the degree sum, spent by the
+        # degree-1 arrivals through a permutation and its gathers, peaks at
+        # 17.7 MB; the pool of its open stubs alone, shuffled in place, at
+        # 13.8 MB.
+        seq = powerlaw_sequence(10**5, 100, sample_seed=11)
+        tracemalloc.start()
+        try:
+            netgen._attach_hubs_first(seq, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_000_000
+
     @pytest.mark.parametrize("seq, pooled", [
         ([0], []),
         ([0, 0, 0], []),
